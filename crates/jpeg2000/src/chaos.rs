@@ -32,10 +32,11 @@
 //! exactly how much damage the stack absorbed. See `tests/chaos.rs` for
 //! the invariants the decode stack must uphold under any schedule.
 
+use crate::lock_unpoisoned;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,10 +70,6 @@ fn mix(seed: u64, stream: u64, conn: u64, n: u64) -> u64 {
 /// precision (the `vta::fault` mapping).
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //!
 //! * [`mq`] — the MQ binary arithmetic coder (47-state table, byte stuffing).
 //! * [`t1`] — EBCOT Tier-1 bit-plane coding (3 passes, 19 contexts).
-//! * [`t2`] — tag trees and packet headers (single layer, LRCP).
+//! * [`t2`] — tag trees and packet headers (quality layers, RLCP order).
 //! * [`dwt`] — LeGall 5/3 (reversible) and CDF 9/7 (irreversible) lifting;
 //!   the 9/7 inverse runs in Q16 fixed point.
 //! * [`quant`] — dead-zone scalar quantiser.
@@ -79,3 +79,16 @@ pub mod service;
 pub mod t1;
 pub mod t2;
 pub mod tile;
+
+/// Locks `m`, recovering from poisoning.
+///
+/// Poisoning only records that *some* thread panicked while holding the
+/// guard; it does not mean the data is broken. Every critical section
+/// behind these locks — the service's queue, flight map and LRU caches,
+/// the server's connection queue, the chaos proxy's stats — leaves its
+/// state consistent before anything in it can panic, so the right
+/// response is to keep serving, not to propagate a panic into every
+/// later caller (regression: `service_survives_a_poisoned_lock`).
+pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -12,12 +12,12 @@
 //! ```
 //! use jpeg2000::image::Image;
 //! use jpeg2000::codec::{encode, decode, EncodeParams, Mode};
-//! use jpeg2000::parallel::ParallelDecoder;
+//! use jpeg2000::parallel::decode_parallel;
 //!
 //! # fn main() -> Result<(), jpeg2000::error::CodecError> {
 //! let img = Image::synthetic_rgb(64, 64, 7);
 //! let bytes = encode(&img, &EncodeParams::new(Mode::Lossless).tile_size(16, 16))?;
-//! let par = ParallelDecoder::new().workers(4).decode(&bytes)?;
+//! let par = decode_parallel(&bytes, 4)?;
 //! assert_eq!(par.image, decode(&bytes)?.image); // bit-exact
 //! # Ok(())
 //! # }
@@ -25,9 +25,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
-use crate::codec::{DecodeReport, DecodeTimings, DecodedImage, StagedDecoder, TileSamples};
+use crate::codec::{DecodeReport, DecodeTimings, DecodedImage, RequestKind, StagedDecoder};
 use crate::error::CodecResult;
 use crate::image::Image;
 use crate::scratch::{DecodeCounters, DecodeScratch};
@@ -68,106 +67,6 @@ pub struct ParallelStats {
     pub counters: DecodeCounters,
 }
 
-/// Builder-style handle for tile-parallel decoding: the `workers(n)`
-/// knob mirrors the paper's 1/2/4-pipeline model versions.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelDecoder {
-    workers: usize,
-}
-
-impl ParallelDecoder {
-    /// A decoder that picks the worker count automatically
-    /// (`std::thread::available_parallelism`, capped by the tile count).
-    pub fn new() -> Self {
-        ParallelDecoder { workers: 0 }
-    }
-
-    /// Sets the number of decode pipelines. `0` means automatic; any
-    /// value larger than the tile count is safe — surplus workers find
-    /// the queue empty and exit immediately.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Decodes `bytes` with this configuration.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of the sequential [`decode`](crate::codec::decode):
-    /// parsing and entropy-decode failures. When several tiles are
-    /// corrupt, the error of the lowest-indexed failing tile is
-    /// returned, matching the sequential tile order.
-    pub fn decode(&self, bytes: &[u8]) -> CodecResult<DecodedImage> {
-        decode_parallel(bytes, self.workers)
-    }
-
-    /// Tolerant variant of [`Self::decode`] — see
-    /// [`decode_tolerant_parallel`].
-    ///
-    /// # Errors
-    ///
-    /// Main-header failures only, as in
-    /// [`decode_tolerant`](crate::codec::decode_tolerant).
-    pub fn decode_tolerant(&self, bytes: &[u8]) -> CodecResult<(Image, DecodeReport)> {
-        decode_tolerant_parallel(bytes, self.workers)
-    }
-}
-
-/// What one worker hands back: its decoded tiles (with per-stage
-/// timings) and the work counters its scratch arena tallied.
-type WorkerOutput = (
-    Vec<(usize, CodecResult<TileSamples>, DecodeTimings)>,
-    DecodeCounters,
-);
-
-/// One worker's claim-decode loop: drains the shared tile queue, fully
-/// decoding each claimed tile to spatial samples. Each worker owns one
-/// [`DecodeScratch`] arena, reused across all tiles it claims — no
-/// cross-thread buffer sharing, no per-block allocation.
-fn run_worker(
-    dec: &StagedDecoder,
-    next: &AtomicUsize,
-    num_tiles: usize,
-    worker: usize,
-    probe: Option<TileProbe<'_>>,
-) -> WorkerOutput {
-    let mut done = Vec::new();
-    let mut scratch = DecodeScratch::new();
-    loop {
-        let t = next.fetch_add(1, Ordering::Relaxed);
-        if t >= num_tiles {
-            return (done, scratch.counters());
-        }
-        if let Some(p) = probe {
-            p(worker, t);
-        }
-        let mut timings = DecodeTimings::default();
-        let t0 = Instant::now();
-        let result = dec.entropy_decode_tile_with(t, &mut scratch).map(|coeffs| {
-            let t1 = Instant::now();
-            let wavelet = dec.dequantize_tile(&coeffs);
-            let t2 = Instant::now();
-            let samples = dec.idwt_tile_with(wavelet, &mut scratch);
-            let t3 = Instant::now();
-            let samples = dec.inverse_mct_tile(samples);
-            let t4 = Instant::now();
-            let samples = dec.dc_unshift_tile(samples);
-            let t5 = Instant::now();
-            timings.entropy += t1 - t0;
-            timings.iq += t2 - t1;
-            timings.idwt += t3 - t2;
-            timings.mct += t4 - t3;
-            timings.dc_shift += t5 - t4;
-            samples
-        });
-        if result.is_err() {
-            timings.entropy += t0.elapsed();
-        }
-        done.push((t, result, timings));
-    }
-}
-
 /// Decodes a codestream with `workers` parallel tile pipelines.
 ///
 /// Output is bit-exact with the sequential [`decode`](crate::codec::decode):
@@ -203,79 +102,8 @@ pub fn decode_parallel_observed(
     workers: usize,
     probe: Option<TileProbe<'_>>,
 ) -> CodecResult<(DecodedImage, ParallelStats)> {
-    let dec = StagedDecoder::new(bytes)?;
-    let num_tiles = dec.num_tiles();
-    let workers = resolve_workers(workers).min(num_tiles.max(1));
-
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<WorkerOutput> = if workers <= 1 {
-        vec![run_worker(&dec, &next, num_tiles, 0, probe)]
-    } else {
-        std::thread::scope(|scope| {
-            let dec = &dec;
-            let next = &next;
-            let handles: Vec<_> = (0..workers)
-                .map(|wi| scope.spawn(move || run_worker(dec, next, num_tiles, wi, probe)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-
-    let mut stats = ParallelStats {
-        workers,
-        per_worker_tiles: Vec::with_capacity(workers),
-        counters: DecodeCounters::default(),
-    };
-    let mut per_tile: Vec<(usize, CodecResult<TileSamples>, DecodeTimings)> = Vec::new();
-    for (done, counters) in per_worker {
-        stats.per_worker_tiles.push(done.len() as u64);
-        stats.counters.merge(&counters);
-        per_tile.extend(done);
-    }
-
-    // Assemble deterministically in tile order; the first (lowest-tile)
-    // error wins, as in the sequential loop.
-    per_tile.sort_by_key(|&(t, _, _)| t);
-    let mut image = dec.blank_image();
-    let mut timings = DecodeTimings::default();
-    for (_, result, tile_timings) in per_tile {
-        let samples = result?;
-        dec.place_tile(&mut image, &samples);
-        timings.entropy += tile_timings.entropy;
-        timings.iq += tile_timings.iq;
-        timings.idwt += tile_timings.idwt;
-        timings.mct += tile_timings.mct;
-        timings.dc_shift += tile_timings.dc_shift;
-    }
-    Ok((DecodedImage { image, timings }, stats))
-}
-
-/// One worker's claim-decode loop for tolerant decoding: like
-/// [`run_worker`], but per-tile failures are collected into a local
-/// [`DecodeReport`] instead of aborting — no tile's damage can mask
-/// another worker's progress.
-fn run_worker_tolerant(
-    dec: &StagedDecoder,
-    next: &AtomicUsize,
-    num_tiles: usize,
-) -> Vec<(usize, TileSamples, DecodeReport)> {
-    let mut done = Vec::new();
-    let mut scratch = DecodeScratch::new();
-    loop {
-        let t = next.fetch_add(1, Ordering::Relaxed);
-        if t >= num_tiles {
-            return done;
-        }
-        let mut report = DecodeReport::default();
-        let samples = dec.decode_tile_tolerant_with(t, &mut scratch, &mut report);
-        done.push((t, samples, report));
-    }
+    decode_tiles_parallel(bytes, RequestKind::Strict, workers, probe)
+        .map(|(out, _, stats)| (out, stats))
 }
 
 /// Tolerant decoding with `workers` parallel tile pipelines — the
@@ -294,35 +122,79 @@ pub fn decode_tolerant_parallel(
     bytes: &[u8],
     workers: usize,
 ) -> CodecResult<(Image, DecodeReport)> {
-    let (dec, mut report) = StagedDecoder::new_tolerant(bytes)?;
+    decode_tiles_parallel(bytes, RequestKind::Tolerant, workers, None)
+        .map(|(out, report, _)| (out.image, report))
+}
+
+/// The claim loop behind both entry points: `workers` threads (the
+/// caller itself when there is one) drain a shared atomic tile queue,
+/// each running [`StagedDecoder::decode_tile`] with its own
+/// [`DecodeScratch`] arena, reused across every tile it claims — no
+/// cross-thread buffer sharing, no per-block allocation. Tiles are
+/// assembled in tile order, so the lowest-indexed tile's error wins and
+/// per-tile reports merge exactly as the sequential loop records them.
+fn decode_tiles_parallel(
+    bytes: &[u8],
+    kind: RequestKind,
+    workers: usize,
+    probe: Option<TileProbe<'_>>,
+) -> CodecResult<(DecodedImage, DecodeReport, ParallelStats)> {
+    let (dec, mut report) = StagedDecoder::open(bytes, kind)?;
     let num_tiles = dec.num_tiles();
     let workers = resolve_workers(workers).min(num_tiles.max(1));
-
     let next = AtomicUsize::new(0);
-    let mut per_tile: Vec<(usize, TileSamples, DecodeReport)> = if workers <= 1 {
-        run_worker_tolerant(&dec, &next, num_tiles)
+    let claim = |worker: usize| {
+        let mut scratch = DecodeScratch::new();
+        let mut timings = DecodeTimings::default();
+        let mut done = Vec::new();
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= num_tiles {
+                return (done, timings, scratch.counters());
+            }
+            if let Some(p) = probe {
+                p(worker, t);
+            }
+            let mut tile_report = DecodeReport::default();
+            let samples = dec.decode_tile(t, kind, &mut scratch, &mut tile_report, &mut timings);
+            done.push((t, samples, tile_report));
+        }
+    };
+    let per_worker: Vec<_> = if workers <= 1 {
+        vec![claim(0)]
     } else {
         std::thread::scope(|scope| {
+            let claim = &claim;
             let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| run_worker_tolerant(&dec, &next, num_tiles)))
+                .map(|w| scope.spawn(move || claim(w)))
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
     };
 
+    let mut stats = ParallelStats {
+        workers,
+        per_worker_tiles: Vec::with_capacity(workers),
+        counters: DecodeCounters::default(),
+    };
+    let mut timings = DecodeTimings::default();
+    let mut per_tile = Vec::with_capacity(num_tiles);
+    for (done, worker_timings, counters) in per_worker {
+        stats.per_worker_tiles.push(done.len() as u64);
+        stats.counters.merge(&counters);
+        timings.merge(&worker_timings);
+        per_tile.extend(done);
+    }
     per_tile.sort_by_key(|&(t, _, _)| t);
-    let mut image = dec.blank_image();
+    let mut image = dec.output_image(kind);
     for (_, samples, tile_report) in per_tile {
-        dec.place_tile(&mut image, &samples);
+        dec.place_tile(&mut image, &samples?);
         report.merge(tile_report);
     }
-    Ok((image, report))
+    Ok((DecodedImage { image, timings }, report, stats))
 }
 
 #[cfg(test)]
@@ -360,14 +232,6 @@ mod tests {
         let bytes = roundtrip_bytes(24, 24, 32, Mode::Lossless, 13);
         let par = decode_parallel(&bytes, 64).expect("par");
         assert_eq!(par.image, decode(&bytes).expect("seq").image);
-    }
-
-    #[test]
-    fn builder_knob_is_equivalent() {
-        let bytes = roundtrip_bytes(64, 64, 32, Mode::Lossless, 14);
-        let a = ParallelDecoder::new().workers(2).decode(&bytes).expect("a");
-        let b = decode_parallel(&bytes, 2).expect("b");
-        assert_eq!(a.image, b.image);
     }
 
     #[test]

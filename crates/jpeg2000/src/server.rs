@@ -35,6 +35,7 @@
 //! failed / refused / internal / protocol-error, and each admitted
 //! request is one service submission.
 
+use crate::lock_unpoisoned;
 use crate::net::{
     decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
     read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
@@ -560,7 +561,7 @@ fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
         // Hold the receiver lock only for the claim, never across a
         // connection.
         let stream = {
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let guard = lock_unpoisoned(rx);
             guard.recv()
         };
         let Ok(stream) = stream else { return };

@@ -52,9 +52,12 @@
 //! assert!(stats.reconciles());
 //! ```
 
+pub use crate::codec::RequestKind;
+
 use crate::codec::{DecodeReport, StagedDecoder};
 use crate::error::CodecError;
 use crate::image::Image;
+use crate::lock_unpoisoned;
 use crate::parallel::resolve_workers;
 use crate::scratch::DecodeScratch;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -62,22 +65,8 @@ use osss_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Locks `m`, recovering from poisoning.
-///
-/// Poisoning only records that *some* thread panicked while holding the
-/// guard; it does not mean the data is broken. Every critical section
-/// in this module either performs a single push/pop on the queue or
-/// goes through [`LruCache`] methods that restore their size
-/// accounting before returning, so the state behind a poisoned lock is
-/// still consistent and the right response is to keep serving — not to
-/// propagate a panic into every later `submit`/`stats`/`shutdown`
-/// (regression: `service_survives_a_poisoned_lock`).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Best-effort text of a caught panic payload (`&str` and `String`
 /// cover everything `panic!` produces in practice).
@@ -125,29 +114,6 @@ impl Default for ServiceConfig {
             metrics: None,
         }
     }
-}
-
-/// Which decode variant a request asks for. Doubles as part of the
-/// image-cache key, so every variant caches independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RequestKind {
-    /// Full strict decode ([`crate::codec::decode`]).
-    Strict,
-    /// Tolerant decode with a [`DecodeReport`]
-    /// ([`crate::codec::decode_tolerant`]).
-    Tolerant,
-    /// Quality-progressive decode keeping `max_layers` layers
-    /// ([`crate::codec::decode_quality`]).
-    Quality {
-        /// Layers to keep (`0` is clamped to 1, as in the one-shot).
-        max_layers: usize,
-    },
-    /// Resolution-progressive decode of the lowest `max_res + 1`
-    /// resolutions ([`crate::codec::decode_thumbnail`]).
-    Thumbnail {
-        /// Highest resolution level to decode.
-        max_res: usize,
-    },
 }
 
 impl RequestKind {
@@ -477,12 +443,13 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Header-cache value: the parsed decoder plus, for tolerant parses,
-/// the parse-stage report to seed each decode's report with.
+/// Header-cache value: the parsed decoder plus the parse-stage report
+/// (empty unless the parse was tolerant) to seed each decode's report
+/// with.
 #[derive(Clone)]
 struct CachedHeader {
     dec: Arc<StagedDecoder>,
-    base_report: Option<DecodeReport>,
+    base_report: DecodeReport,
 }
 
 /// Image-cache value.
@@ -1253,6 +1220,12 @@ enum Abort {
     Abandoned,
 }
 
+impl From<CodecError> for Abort {
+    fn from(e: CodecError) -> Self {
+        Abort::Error(ServiceError::Decode(e))
+    }
+}
+
 fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Served, Abort> {
     let check = |_tile: usize| -> Result<(), Abort> {
         if sweep(shared, job.flight_key()) == Sweep::Abandon {
@@ -1288,17 +1261,11 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
         }
         None => {
             shared.bump(&shared.tallies.header_misses, |m| &m.header_misses);
-            let parsed = if tolerant {
-                StagedDecoder::new_tolerant(&job.stream).map(|(dec, report)| CachedHeader {
+            let parsed =
+                StagedDecoder::open(&job.stream, job.kind).map(|(dec, report)| CachedHeader {
                     dec: Arc::new(dec),
-                    base_report: Some(report),
-                })
-            } else {
-                StagedDecoder::new(&job.stream).map(|dec| CachedHeader {
-                    dec: Arc::new(dec),
-                    base_report: None,
-                })
-            };
+                    base_report: report,
+                });
             let header = match parsed {
                 Ok(h) => h,
                 Err(e) => {
@@ -1339,8 +1306,15 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     }
     shared.bump(&shared.tallies.image_misses, |m| &m.image_misses);
 
-    let (image, report) = run_decode(&header, kind, scratch, &check)?;
-    let image = Arc::new(image);
+    // The decode proper: the one-shot entry points' tile loop, with the
+    // deadline/cancellation sweep as its per-tile gate, so service
+    // results are bit-exact with them by construction.
+    let mut report = header.base_report.clone();
+    let out = header
+        .dec
+        .decode_tiles(kind, scratch, &mut report, &check)?;
+    let image = Arc::new(out.image);
+    let report = tolerant.then_some(report);
     let evicted = lock_unpoisoned(&shared.image_cache).insert(
         image_key,
         CachedImage {
@@ -1357,69 +1331,6 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
         m.image_evictions.add(evicted);
     }
     Ok((image, report, served_from))
-}
-
-/// The decode proper — per-tile staged calls identical to the one-shot
-/// entry points ([`crate::codec::decode`] and friends), so service
-/// results are bit-exact by construction. `check` runs before every
-/// tile: that is the deadline/cancellation granularity.
-fn run_decode(
-    header: &CachedHeader,
-    kind: RequestKind,
-    scratch: &mut DecodeScratch,
-    check: &impl Fn(usize) -> Result<(), Abort>,
-) -> Result<(Image, Option<DecodeReport>), Abort> {
-    let decode_err = |e| Abort::Error(ServiceError::Decode(e));
-    let dec = &header.dec;
-    match kind {
-        RequestKind::Strict => {
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec.decode_tile_with(t, scratch).map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-        RequestKind::Tolerant => {
-            let mut report = header.base_report.clone().unwrap_or_default();
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec.decode_tile_tolerant_with(t, scratch, &mut report);
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, Some(report)))
-        }
-        RequestKind::Quality { max_layers } => {
-            let mut image = dec.blank_image();
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec
-                    .decode_tile_quality_with(t, max_layers, scratch)
-                    .map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-        RequestKind::Thumbnail { max_res } => {
-            let (out_w, out_h) = dec.thumbnail_size(max_res);
-            let mut image = Image::new(
-                out_w,
-                out_h,
-                dec.header().depth,
-                dec.header().num_components as usize,
-            );
-            for t in 0..dec.num_tiles() {
-                check(t)?;
-                let samples = dec
-                    .decode_tile_thumbnail_with(t, max_res, scratch)
-                    .map_err(decode_err)?;
-                dec.place_tile(&mut image, &samples);
-            }
-            Ok((image, None))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Tier-2: tag trees, stuffed bit I/O and packet headers (T.800 Annex B).
 //!
 //! One packet carries one (layer, resolution, component) triple — this
-//! codec uses a single layer and a single precinct per resolution, so the
-//! tile bitstream is simply one packet per resolution per component in
-//! LRCP order.
+//! codec uses a single precinct per resolution, so the tile bitstream is
+//! one packet per resolution, layer and component in RLCP order
+//! (resolution outermost, so a resolution-limited decode reads a prefix
+//! of it).
 
 use crate::error::{CodecError, CodecResult};
 use crate::t1::T1EncodedBlock;

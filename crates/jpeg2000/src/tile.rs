@@ -122,7 +122,7 @@ pub struct Band {
 ///
 /// Bands are returned **resolution by resolution, coarse to fine**: the
 /// deepest LL first, then `HL, LH, HH` of the deepest level, …, then
-/// `HL, LH, HH` of level 1 — the packet order of an LRCP codestream.
+/// `HL, LH, HH` of level 1 — the resolution order of an RLCP codestream.
 pub fn subbands(w: usize, h: usize, levels: usize) -> Vec<Band> {
     let levels = effective_levels(w, h, levels);
     // Region sizes per level: dims[l] = size after l decompositions.
@@ -190,7 +190,7 @@ pub fn subbands(w: usize, h: usize, levels: usize) -> Vec<Band> {
 
 /// Groups the subbands of a tile-component by resolution: index 0 holds
 /// only the deepest LL band, index `r ≥ 1` the `HL/LH/HH` bands of level
-/// `levels − r + 1` — the packet grouping of an LRCP codestream.
+/// `levels − r + 1` — the packet grouping of an RLCP codestream.
 pub fn resolution_bands(w: usize, h: usize, levels: usize) -> Vec<Vec<Band>> {
     let bands = subbands(w, h, levels);
     let applied = bands[0].level as usize;

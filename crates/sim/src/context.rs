@@ -1,9 +1,8 @@
 //! The process-side API: everything a running process may do.
 
 use std::fmt;
+use std::sync::mpsc::{Receiver, RecvError, SyncSender};
 use std::sync::Arc;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use crate::error::{SimError, SimResult};
 use crate::event::{Event, EventId};
@@ -21,7 +20,7 @@ pub struct Context {
     name: Arc<str>,
     shared: Arc<Shared>,
     resume_rx: Receiver<Resume>,
-    yield_tx: Sender<YieldMsg>,
+    yield_tx: SyncSender<YieldMsg>,
 }
 
 impl fmt::Debug for Context {
@@ -39,7 +38,7 @@ impl Context {
         name: Arc<str>,
         shared: Arc<Shared>,
         resume_rx: Receiver<Resume>,
-        yield_tx: Sender<YieldMsg>,
+        yield_tx: SyncSender<YieldMsg>,
     ) -> Self {
         Context {
             pid,
@@ -50,7 +49,7 @@ impl Context {
         }
     }
 
-    pub(crate) fn recv_resume(&self) -> Result<Resume, crossbeam::channel::RecvError> {
+    pub(crate) fn recv_resume(&self) -> Result<Resume, RecvError> {
         self.resume_rx.recv()
     }
 

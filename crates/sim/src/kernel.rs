@@ -4,10 +4,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::context::Context;
@@ -277,7 +277,7 @@ impl Shared {
 }
 
 struct ProcSlot {
-    resume_tx: Sender<Resume>,
+    resume_tx: SyncSender<Resume>,
     yield_rx: Receiver<YieldMsg>,
     join: Option<JoinHandle<()>>,
 }
@@ -382,8 +382,8 @@ impl Simulation {
             });
             st.runnable.push_back(pid);
         }
-        let (resume_tx, resume_rx) = bounded::<Resume>(1);
-        let (yield_tx, yield_rx) = bounded::<YieldMsg>(1);
+        let (resume_tx, resume_rx) = sync_channel::<Resume>(1);
+        let (yield_tx, yield_rx) = sync_channel::<YieldMsg>(1);
         let ctx = Context::new(
             pid,
             Arc::clone(&name_arc),

@@ -53,8 +53,7 @@ pub use jpeg2000::net::{
     WireReport,
 };
 pub use jpeg2000::parallel::{
-    decode_parallel, decode_parallel_observed, decode_tolerant_parallel, ParallelDecoder,
-    ParallelStats,
+    decode_parallel, decode_parallel_observed, decode_tolerant_parallel, ParallelStats,
 };
 pub use jpeg2000::scratch::{DecodeCounters, DecodeScratch};
 pub use jpeg2000::server::{DecodeServer, ServerConfig, ServerStats};
@@ -67,34 +66,3 @@ pub use jpeg2000_models::observe::{
 };
 pub use osss_sim::probe::{MetricsRegistry, MetricsSnapshot};
 pub use osss_sim::trace::{TraceRecord, Tracer};
-
-/// Decodes a codestream with the tile-parallel backend, `n` worker
-/// pipelines (`0` = automatic). Bit-exact with
-/// [`jpeg2000::codec::decode`]; see [`jpeg2000::parallel`] for how the
-/// worker count mirrors the paper's model versions 2–5.
-///
-/// # Errors
-///
-/// Any [`jpeg2000::error::CodecError`] from parsing or entropy
-/// decoding.
-pub fn decode_workers(
-    bytes: &[u8],
-    n: usize,
-) -> Result<jpeg2000::codec::DecodedImage, jpeg2000::error::CodecError> {
-    ParallelDecoder::new().workers(n).decode(bytes)
-}
-
-/// Tolerantly decodes a codestream with `n` worker pipelines (`0` =
-/// automatic): corrupt tiles become mid-gray regions reported in the
-/// [`DecodeReport`] instead of failing the decode. The sequential form
-/// is [`decode_tolerant`].
-///
-/// # Errors
-///
-/// Main-header failures only — see [`jpeg2000::codec::decode_tolerant`].
-pub fn decode_tolerant_workers(
-    bytes: &[u8],
-    n: usize,
-) -> Result<(jpeg2000::image::Image, DecodeReport), CodecError> {
-    decode_tolerant_parallel(bytes, n)
-}

@@ -242,7 +242,7 @@ fn facade_tolerant_exports_work() {
     let img = Image::synthetic_rgb(64, 64, 31);
     let bytes = encode(&img, &EncodeParams::new(Mode::Lossless).tile_size(32, 32)).unwrap();
     let (seq, seq_report) = osss_jpeg2000::decode_tolerant(&bytes).unwrap();
-    let (par, par_report) = osss_jpeg2000::decode_tolerant_workers(&bytes, 4).unwrap();
+    let (par, par_report) = osss_jpeg2000::decode_tolerant_parallel(&bytes, 4).unwrap();
     assert!(seq_report.is_clean() && par_report.is_clean());
     assert_eq!(seq, par);
     assert_eq!(seq, decode(&bytes).unwrap().image);
