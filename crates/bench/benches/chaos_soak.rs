@@ -106,7 +106,7 @@ fn with_server<F: FnOnce(SocketAddr) -> RunResult>(f: F) -> RunResult {
         ServerConfig {
             handler_threads: CLIENTS + 1,
             poll_interval: Duration::from_millis(10),
-            frame_deadline: Some(Duration::from_secs(2)),
+            frame_deadline: Duration::from_secs(2),
             ..ServerConfig::default()
         },
     )

@@ -28,27 +28,35 @@
 //! answers busy and closes, so a flood degrades into explicit retry
 //! traffic instead of hung connections.
 //!
-//! Every counter the server keeps is mirrored into an optional
-//! [`MetricsRegistry`] under `server.*`, alongside the service's own
-//! `service.*` metrics, and the two families reconcile exactly: each
-//! CRC-valid frame resolves as exactly one of ok / busy / expired /
-//! failed / refused / internal / protocol-error, and each admitted
-//! request is one service submission.
+//! The server keeps its books in a [`MetricsRegistry`] under
+//! `server.*`, alongside the service's own `service.*` metrics, and
+//! the two families reconcile exactly: each CRC-valid frame resolves
+//! as exactly one of ok / busy / expired / failed / refused / internal
+//! / protocol-error, and each admitted request is one service
+//! submission.
 
-use crate::lock_unpoisoned;
 use crate::net::{
     decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
     read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
 };
 use crate::service::{DecodeService, ServiceError};
+use crate::{lock_unpoisoned, sim_time};
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
-use osss_sim::SimTime;
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Transport write timeout for response frames (handlers, the
+/// acceptor's busy/refused answers).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Per-read timeout while draining a rejected connection's bytes
+/// before close (see `reject_busy`).
+const DRAIN_READ_TIMEOUT: Duration = Duration::from_secs(1);
+/// Total budget for that drain.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for a [`DecodeServer`].
 #[derive(Debug, Clone)]
@@ -70,13 +78,11 @@ pub struct ServerConfig {
     /// a slow-loris peer — one byte per [`Self::poll_interval`] resets
     /// them forever — so once a frame has begun, the handler bounds
     /// the *entire* frame by this budget and evicts the connection
-    /// when it elapses ([`ServerStats::frame_timeouts`]). `None`
-    /// restores the per-read-only behaviour.
-    pub frame_deadline: Option<Duration>,
+    /// when it elapses ([`ServerStats::frame_timeouts`]).
+    pub frame_deadline: Duration,
     /// Closes a connection that stays idle *between* frames this long
-    /// ([`ServerStats::idle_reaped`]); `None` lets idle connections
-    /// hold their handler indefinitely.
-    pub idle_timeout: Option<Duration>,
+    /// ([`ServerStats::idle_reaped`]).
+    pub idle_timeout: Duration,
     /// Upper bound on connections open server-side (queued for or
     /// inside a handler); the acceptor answers excess connections with
     /// a busy frame ([`ServerStats::conn_capped`]).
@@ -86,17 +92,12 @@ pub struct ServerConfig {
     /// busy ([`ServerStats::admission_rejected`]) without touching the
     /// service queue.
     pub max_inflight_bytes: usize,
-    /// Transport write timeout for response frames (handlers, the
-    /// acceptor's busy/refused answers).
-    pub write_timeout: Duration,
-    /// Per-read timeout while draining a rejected connection's bytes
-    /// before close (see `reject_busy`).
-    pub drain_read_timeout: Duration,
-    /// Total budget for that drain.
-    pub drain_deadline: Duration,
-    /// Observability sink. When set, the server exports `server.*`
-    /// counters, the active-connection gauge and the request-latency
-    /// histogram.
+    /// Observability sink. The server keeps its `server.*` counters,
+    /// the active-connection gauge and the request-latency histogram
+    /// in this registry (in a private one when `None`), and
+    /// [`DecodeServer::stats`] reads them back — so one registry backs
+    /// one server (next to the one service it fronts); give each
+    /// server its own.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -108,13 +109,10 @@ impl Default for ServerConfig {
             submit_timeout: Duration::from_millis(250),
             max_frame_bytes: MAX_FRAME_BYTES,
             poll_interval: Duration::from_millis(50),
-            frame_deadline: Some(Duration::from_secs(10)),
-            idle_timeout: Some(Duration::from_secs(60)),
+            frame_deadline: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(60),
             max_connections: 256,
             max_inflight_bytes: 256 << 20,
-            write_timeout: Duration::from_secs(1),
-            drain_read_timeout: Duration::from_secs(1),
-            drain_deadline: Duration::from_secs(2),
             metrics: None,
         }
     }
@@ -182,27 +180,10 @@ impl ServerStats {
     }
 }
 
-#[derive(Default)]
-struct Tallies {
-    accepted: AtomicU64,
-    conn_rejected: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    crc_rejects: AtomicU64,
-    frame_rejects: AtomicU64,
-    protocol_errors: AtomicU64,
-    ok: AtomicU64,
-    busy: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    refused: AtomicU64,
-    internal: AtomicU64,
-    conn_capped: AtomicU64,
-    frame_timeouts: AtomicU64,
-    idle_reaped: AtomicU64,
-    admission_rejected: AtomicU64,
-}
-
+/// The server's books: every outcome counter, the three pressure
+/// gauges (which the admission budget and the connection cap read
+/// directly) and the latency histogram, each one registry handle read
+/// back by [`DecodeServer::stats`].
 struct Meters {
     accepted: Counter,
     conn_rejected: Counter,
@@ -255,77 +236,25 @@ impl Meters {
     }
 }
 
-/// `Duration` → [`SimTime`], saturating (same clamping as the service
-/// layer's histograms, so `server.latency` and `service.service_time`
-/// are directly comparable).
-fn sim_time(d: Duration) -> SimTime {
-    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    SimTime::ps(ns.saturating_mul(1_000))
-}
-
 struct Shared {
     service: Arc<DecodeService>,
-    tallies: Tallies,
-    meters: Option<Meters>,
+    meters: Meters,
     shutdown: AtomicBool,
-    active: AtomicU64,
-    open_conns: AtomicU64,
-    inflight_bytes: AtomicU64,
     config: ServerConfig,
 }
 
 impl Shared {
-    fn bump(&self, tally: &AtomicU64, meter: impl FnOnce(&Meters) -> &Counter) {
-        tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            meter(m).add(1);
-        }
-    }
-
-    fn set_active(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.active.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.active.fetch_sub((-delta) as u64, Ordering::Relaxed) - (-delta) as u64
-        };
-        if let Some(m) = &self.meters {
-            m.active.set(now as i64);
-        }
-    }
-
-    fn open_add(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.open_conns.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.open_conns
-                .fetch_sub((-delta) as u64, Ordering::Relaxed)
-                - (-delta) as u64
-        };
-        if let Some(m) = &self.meters {
-            m.open_conns.set(now as i64);
-        }
-    }
-
     /// Reserves `bytes` against the in-flight admission budget; `false`
     /// means the request must be shed.
-    fn try_admit(&self, bytes: u64) -> bool {
-        let max = self.config.max_inflight_bytes as u64;
-        let prev = self.inflight_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if prev.saturating_add(bytes) > max {
-            self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    fn try_admit(&self, bytes: i64) -> bool {
+        let inflight = self.meters.inflight_bytes.add(bytes);
+        // Compare as u64: the budget may be `usize::MAX`, which no i64
+        // holds.
+        if inflight as u64 > self.config.max_inflight_bytes as u64 {
+            self.meters.inflight_bytes.add(-bytes);
             return false;
         }
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set((prev + bytes) as i64);
-        }
         true
-    }
-
-    fn release(&self, bytes: u64) {
-        let now = self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed) - bytes;
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
     }
 }
 
@@ -352,15 +281,10 @@ impl DecodeServer {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let meters = config.metrics.as_ref().map(Meters::new);
         let shared = Arc::new(Shared {
             service,
-            tallies: Tallies::default(),
-            meters,
+            meters: Meters::new(&config.metrics.clone().unwrap_or_default()),
             shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            inflight_bytes: AtomicU64::new(0),
             config: config.clone(),
         });
 
@@ -401,32 +325,31 @@ impl DecodeServer {
 
     /// A snapshot of the outcome tallies.
     pub fn stats(&self) -> ServerStats {
-        let t = &self.shared.tallies;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let m = &self.shared.meters;
         ServerStats {
-            accepted: get(&t.accepted),
-            conn_rejected: get(&t.conn_rejected),
-            frames_in: get(&t.frames_in),
-            frames_out: get(&t.frames_out),
-            crc_rejects: get(&t.crc_rejects),
-            frame_rejects: get(&t.frame_rejects),
-            protocol_errors: get(&t.protocol_errors),
-            ok: get(&t.ok),
-            busy: get(&t.busy),
-            expired: get(&t.expired),
-            failed: get(&t.failed),
-            refused: get(&t.refused),
-            internal: get(&t.internal),
-            conn_capped: get(&t.conn_capped),
-            frame_timeouts: get(&t.frame_timeouts),
-            idle_reaped: get(&t.idle_reaped),
-            admission_rejected: get(&t.admission_rejected),
+            accepted: m.accepted.get(),
+            conn_rejected: m.conn_rejected.get(),
+            frames_in: m.frames_in.get(),
+            frames_out: m.frames_out.get(),
+            crc_rejects: m.crc_rejects.get(),
+            frame_rejects: m.frame_rejects.get(),
+            protocol_errors: m.protocol_errors.get(),
+            ok: m.ok.get(),
+            busy: m.busy.get(),
+            expired: m.expired.get(),
+            failed: m.failed.get(),
+            refused: m.refused.get(),
+            internal: m.internal.get(),
+            conn_capped: m.conn_capped.get(),
+            frame_timeouts: m.frame_timeouts.get(),
+            idle_reaped: m.idle_reaped.get(),
+            admission_rejected: m.admission_rejected.get(),
         }
     }
 
     /// Connections currently inside a handler.
     pub fn active_connections(&self) -> u64 {
-        self.shared.active.load(Ordering::Relaxed)
+        self.shared.meters.active.get() as u64
     }
 
     /// Stops accepting, drains the handler pool and returns the final
@@ -434,39 +357,36 @@ impl DecodeServer {
     /// the next poll tick. The shared [`DecodeService`] is left
     /// running — it belongs to the caller.
     pub fn shutdown(mut self) -> ServerStats {
+        self.stop();
+        self.stats()
+    }
+
+    fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in accept(); a throwaway local connection
         // wakes it to observe the flag.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        let _ = acceptor.join();
         // The acceptor drops the channel sender on exit; handlers
         // drain queued connections, then their recv fails and they
         // stop.
         for h in self.handlers.drain(..) {
             let _ = h.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for DecodeServer {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.local_addr);
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
-            }
-            for h in self.handlers.drain(..) {
-                let _ = h.join();
-            }
-        }
+        self.stop();
     }
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>) {
+    let m = &shared.meters;
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -480,30 +400,26 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
         if shared.shutdown.load(Ordering::SeqCst) {
             // The shutdown wake-up connection (or a late client):
             // refuse and stop.
-            let _ = respond_and_close(
-                stream,
-                &encode_service_error(&ServiceError::ShuttingDown),
-                shared.config.write_timeout,
-            );
+            let _ = respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
             return;
         }
-        if shared.open_conns.load(Ordering::Relaxed) >= shared.config.max_connections as u64 {
+        if m.open_conns.get() as u64 >= shared.config.max_connections as u64 {
             // Connection cap: shed at the door with an explicit busy
             // frame instead of letting connections pile up unserved.
-            shared.bump(&shared.tallies.conn_capped, |m| &m.conn_capped);
-            reject_busy(stream, &shared.config);
+            m.conn_capped.inc();
+            reject_busy(stream);
             continue;
         }
-        shared.open_add(1);
+        m.open_conns.add(1);
         match tx.try_send(stream) {
-            Ok(()) => shared.bump(&shared.tallies.accepted, |m| &m.accepted),
+            Ok(()) => m.accepted.inc(),
             Err(mpsc::TrySendError::Full(stream)) => {
                 // Handler pool saturated: answer busy and close so the
                 // client retries with backoff instead of queueing
                 // invisibly.
-                shared.open_add(-1);
-                shared.bump(&shared.tallies.conn_rejected, |m| &m.conn_rejected);
-                reject_busy(stream, &shared.config);
+                m.open_conns.add(-1);
+                m.conn_rejected.inc();
+                reject_busy(stream);
             }
             Err(mpsc::TrySendError::Disconnected(_)) => return,
         }
@@ -512,12 +428,8 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
 
 /// Writes one frame and closes the write side so the peer sees clean
 /// EOF after it.
-fn respond_and_close(
-    mut stream: TcpStream,
-    payload: &[u8],
-    write_timeout: Duration,
-) -> io::Result<()> {
-    stream.set_write_timeout(Some(write_timeout))?;
+fn respond_and_close(mut stream: TcpStream, payload: &[u8]) -> io::Result<()> {
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     write_frame(&mut stream, payload)?;
     stream.shutdown(std::net::Shutdown::Write)
 }
@@ -528,22 +440,19 @@ fn respond_and_close(
 /// client side. So the frame goes out, the write side closes (FIN),
 /// and a short detached thread drains the client's bytes until it
 /// hangs up — never blocking the acceptor, never resetting the peer.
-fn reject_busy(mut stream: TcpStream, config: &ServerConfig) {
-    let write_timeout = config.write_timeout;
-    let drain_read_timeout = config.drain_read_timeout;
-    let drain_deadline = config.drain_deadline;
+fn reject_busy(mut stream: TcpStream) {
     let _ = std::thread::Builder::new()
         .name("decode-net-reject".into())
         .spawn(move || {
-            if stream.set_write_timeout(Some(write_timeout)).is_err()
-                || stream.set_read_timeout(Some(drain_read_timeout)).is_err()
+            if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+                || stream.set_read_timeout(Some(DRAIN_READ_TIMEOUT)).is_err()
                 || write_frame(&mut stream, &encode_busy()).is_err()
                 || stream.shutdown(std::net::Shutdown::Write).is_err()
             {
                 return;
             }
             let mut sink = [0u8; 4096];
-            let deadline = Instant::now() + drain_deadline;
+            let deadline = Instant::now() + DRAIN_DEADLINE;
             loop {
                 match stream.read(&mut sink) {
                     Ok(0) | Err(_) => return, // EOF, timeout or reset
@@ -556,7 +465,12 @@ fn reject_busy(mut stream: TcpStream, config: &ServerConfig) {
         });
 }
 
+/// Claims connections until the acceptor is gone. After shutdown the
+/// handlers keep draining queued connections, so no accepted client
+/// hangs; `recv()` errors once the queue is empty and the acceptor has
+/// dropped the sender.
 fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
+    let m = &shared.meters;
     loop {
         // Hold the receiver lock only for the claim, never across a
         // connection.
@@ -565,16 +479,10 @@ fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
             guard.recv()
         };
         let Ok(stream) = stream else { return };
-        shared.set_active(1);
+        m.active.add(1);
         serve_connection(shared, stream);
-        shared.set_active(-1);
-        shared.open_add(-1);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Keep draining queued connections so no accepted client
-            // hangs; recv() errors once the queue is empty and the
-            // acceptor is gone.
-            continue;
-        }
+        m.active.add(-1);
+        m.open_conns.add(-1);
     }
 }
 
@@ -625,12 +533,11 @@ impl Read for FrameReader<'_> {
 /// Serves one connection until EOF, an unrecoverable frame error,
 /// idle expiry, or shutdown.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+    let config = &shared.config;
+    let m = &shared.meters;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
         return;
     }
     let mut last_activity = Instant::now();
@@ -647,67 +554,51 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                     let _ = respond_and_close(
                         stream,
                         &encode_service_error(&ServiceError::ShuttingDown),
-                        shared.config.write_timeout,
                     );
                     return;
                 }
-                if let Some(idle) = shared.config.idle_timeout {
-                    if last_activity.elapsed() >= idle {
-                        // Reap: free the handler for live traffic. The
-                        // peer sees clean EOF between frames.
-                        shared.bump(&shared.tallies.idle_reaped, |m| &m.idle_reaped);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        return;
-                    }
+                if last_activity.elapsed() >= config.idle_timeout {
+                    // Reap: free the handler for live traffic. The
+                    // peer sees clean EOF between frames.
+                    m.idle_reaped.inc();
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
                 }
                 continue;
             }
             Err(_) => return,
         }
-        // A frame has begun. With a frame deadline the whole frame
-        // races one budget (slow-loris eviction); without one, only
-        // the per-read poll timeout bounds a mid-frame stall — and a
-        // peer trickling a byte per window evades it indefinitely.
-        let read_result = match shared.config.frame_deadline {
-            None => read_frame(&mut stream, shared.config.max_frame_bytes),
-            Some(limit) => {
-                let mut reader = FrameReader {
-                    stream: &stream,
-                    deadline: Instant::now() + limit,
-                    poll: shared.config.poll_interval,
-                    shutdown: &shared.shutdown,
-                };
-                let res = read_frame(&mut reader, shared.config.max_frame_bytes);
-                // Restore the idle-poll timeout for the next peek.
-                if stream
-                    .set_read_timeout(Some(shared.config.poll_interval))
-                    .is_err()
-                {
-                    return;
-                }
-                res
-            }
+        // A frame has begun: the whole frame races one budget, so a
+        // peer trickling a byte per poll window is evicted instead of
+        // pinning the handler (slow-loris).
+        let mut reader = FrameReader {
+            stream: &stream,
+            deadline: Instant::now() + config.frame_deadline,
+            poll: config.poll_interval,
+            shutdown: &shared.shutdown,
         };
+        let read_result = read_frame(&mut reader, config.max_frame_bytes);
+        // Restore the idle-poll timeout for the next peek.
+        if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
+            return;
+        }
         match read_result {
             Ok(None) => return,
             Ok(Some(payload)) => {
-                shared.bump(&shared.tallies.frames_in, |m| &m.frames_in);
+                m.frames_in.inc();
                 if !handle_frame(shared, &mut stream, &payload) {
                     return;
                 }
                 last_activity = Instant::now();
             }
-            Err(WireError::Io(e))
-                if shared.config.frame_deadline.is_some() && e.kind() == ErrorKind::TimedOut =>
-            {
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::TimedOut => {
                 // The whole-frame deadline elapsed: evict the peer.
                 // (Framing is lost mid-frame, so the connection closes;
                 // the error frame is best-effort.)
-                shared.bump(&shared.tallies.frame_timeouts, |m| &m.frame_timeouts);
+                m.frame_timeouts.inc();
                 let _ = respond_and_close(
                     stream,
                     &encode_protocol_error("whole-frame read deadline exceeded"),
-                    shared.config.write_timeout,
                 );
                 return;
             }
@@ -715,29 +606,21 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 // The frame was fully read, so the stream is still in
                 // sync — but its content is untrustworthy. Report and
                 // close.
-                shared.bump(&shared.tallies.crc_rejects, |m| &m.crc_rejects);
-                let _ = respond_and_close(
-                    stream,
-                    &encode_protocol_error("frame crc mismatch"),
-                    shared.config.write_timeout,
-                );
+                m.crc_rejects.inc();
+                let _ = respond_and_close(stream, &encode_protocol_error("frame crc mismatch"));
                 return;
             }
             Err(e @ (WireError::BadMagic(_) | WireError::Oversized { .. })) => {
                 // Framing is lost; no way to find the next frame
                 // boundary. Report and close.
-                shared.bump(&shared.tallies.frame_rejects, |m| &m.frame_rejects);
-                let _ = respond_and_close(
-                    stream,
-                    &encode_protocol_error(&e.to_string()),
-                    shared.config.write_timeout,
-                );
+                m.frame_rejects.inc();
+                let _ = respond_and_close(stream, &encode_protocol_error(&e.to_string()));
                 return;
             }
             Err(_) => {
                 // Truncated mid-frame or transport failure: the peer
                 // is gone or stalled; nothing to answer.
-                shared.bump(&shared.tallies.frame_rejects, |m| &m.frame_rejects);
+                m.frame_rejects.inc();
                 return;
             }
         }
@@ -747,61 +630,56 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 /// Handles one CRC-valid frame; returns `false` when the connection
 /// should close.
 fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool {
+    let m = &shared.meters;
     let started = Instant::now();
     let response = match decode_request(payload) {
         Err(e) => {
             // The payload failed the grammar but the *frame* was
             // intact, so the connection stays usable.
-            shared.bump(&shared.tallies.protocol_errors, |m| &m.protocol_errors);
+            m.protocol_errors.inc();
             encode_protocol_error(&e.to_string())
         }
         Ok(wire) => {
-            let bytes = wire.stream.len() as u64;
+            let bytes = wire.stream.len() as i64;
             if !shared.try_admit(bytes) {
                 // Admission budget exhausted: shed with the same
                 // retryable-busy answer as a full queue (clients
                 // already back off on it), and tally the shed
                 // separately for observability.
-                shared.bump(&shared.tallies.busy, |m| &m.busy);
-                shared.bump(&shared.tallies.admission_rejected, |m| {
-                    &m.admission_rejected
-                });
+                m.busy.inc();
+                m.admission_rejected.inc();
                 encode_busy()
             } else {
                 let outcome = shared
                     .service
                     .submit_wait(wire.stream, wire.request, shared.config.submit_timeout)
                     .and_then(crate::service::Ticket::wait);
-                shared.release(bytes);
+                m.inflight_bytes.add(-bytes);
                 match outcome {
                     Ok(resp) => {
-                        shared.bump(&shared.tallies.ok, |m| &m.ok);
+                        m.ok.inc();
                         let report = resp.report.as_ref().map(WireReport::summarise);
                         encode_ok(&resp.image, report.as_ref(), resp.served_from)
                     }
                     Err(err) => {
-                        let (tally, meter): (_, fn(&Meters) -> &Counter) = match &err {
-                            ServiceError::QueueFull => (&shared.tallies.busy, |m| &m.busy),
-                            ServiceError::DeadlineExceeded => {
-                                (&shared.tallies.expired, |m| &m.expired)
-                            }
-                            ServiceError::Decode(_) => (&shared.tallies.failed, |m| &m.failed),
-                            ServiceError::ShuttingDown => (&shared.tallies.refused, |m| &m.refused),
-                            _ => (&shared.tallies.internal, |m| &m.internal),
-                        };
-                        shared.bump(tally, meter);
+                        match &err {
+                            ServiceError::QueueFull => &m.busy,
+                            ServiceError::DeadlineExceeded => &m.expired,
+                            ServiceError::Decode(_) => &m.failed,
+                            ServiceError::ShuttingDown => &m.refused,
+                            _ => &m.internal,
+                        }
+                        .inc();
                         encode_service_error(&err)
                     }
                 }
             }
         }
     };
-    if let Some(m) = &shared.meters {
-        m.latency.observe(sim_time(started.elapsed()));
-    }
+    m.latency.observe(sim_time(started.elapsed()));
     match write_frame(stream, &response) {
         Ok(()) => {
-            shared.bump(&shared.tallies.frames_out, |m| &m.frames_out);
+            m.frames_out.inc();
             true
         }
         Err(_) => false,
@@ -1128,53 +1006,19 @@ mod tests {
         })
     }
 
-    /// Regression (PR 9): without a whole-frame deadline, a client
-    /// trickling one byte per poll interval pins a handler forever;
-    /// with one, the handler evicts it and frees itself.
+    /// Regression: a client trickling one byte per poll interval never
+    /// misses a per-read window, so only the whole-frame deadline
+    /// evicts it and frees the handler.
     #[test]
-    fn slow_loris_pins_without_frame_deadline_and_is_evicted_with_one() {
-        // Pre-fix behaviour: frame_deadline = None. The loris out-runs
-        // the 20ms per-read timeout, so the handler stays pinned.
+    fn slow_loris_is_evicted_by_the_frame_deadline() {
+        // A 150ms whole-frame deadline evicts the peer even though it
+        // never misses a 20ms per-read window.
         let server = start(
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 1,
                 poll_interval: Duration::from_millis(20),
-                frame_deadline: None,
-                idle_timeout: None,
-                ..ServerConfig::default()
-            },
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let loris = slow_loris(
-            server.local_addr(),
-            Duration::from_millis(5),
-            Arc::clone(&stop),
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Give the per-read timeout many chances to (wrongly) fire.
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(
-            server.active_connections(),
-            1,
-            "pre-fix: the loris still pins the only handler"
-        );
-        stop.store(true, Ordering::SeqCst);
-        loris.join().unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.frame_timeouts, 0, "{stats:?}");
-
-        // Post-fix: a 150ms whole-frame deadline evicts the same peer
-        // even though it never misses a per-read window.
-        let server = start(
-            small_service(1, 4),
-            ServerConfig {
-                handler_threads: 1,
-                poll_interval: Duration::from_millis(20),
-                frame_deadline: Some(Duration::from_millis(150)),
+                frame_deadline: Duration::from_millis(150),
                 ..ServerConfig::default()
             },
         );
@@ -1191,7 +1035,7 @@ mod tests {
         assert_eq!(
             server.stats().frame_timeouts,
             1,
-            "post-fix: the frame deadline evicted the loris"
+            "the frame deadline evicted the loris"
         );
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.active_connections() > 0 && Instant::now() < deadline {
@@ -1219,7 +1063,7 @@ mod tests {
             ServerConfig {
                 handler_threads: 2,
                 poll_interval: Duration::from_millis(10),
-                idle_timeout: Some(Duration::from_millis(120)),
+                idle_timeout: Duration::from_millis(120),
                 metrics: Some(registry.clone()),
                 ..ServerConfig::default()
             },
@@ -1323,22 +1167,25 @@ mod tests {
             "{snap:?}"
         );
 
-        // With the budget exactly at the request size, it decodes.
-        let server = start(
-            small_service(1, 4),
-            ServerConfig {
-                max_inflight_bytes: bytes.len(),
-                ..ServerConfig::default()
-            },
-        );
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(
-            client.request(&Request::strict(), &bytes).unwrap().image,
-            img
-        );
-        let stats = server.shutdown();
-        assert_eq!(stats.admission_rejected, 0, "{stats:?}");
-        assert!(stats.reconciles(), "{stats:?}");
+        // With the budget exactly at the request size, it decodes — and
+        // so it does under the largest budget, which no i64 holds.
+        for max_inflight_bytes in [bytes.len(), usize::MAX] {
+            let server = start(
+                small_service(1, 4),
+                ServerConfig {
+                    max_inflight_bytes,
+                    ..ServerConfig::default()
+                },
+            );
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            assert_eq!(
+                client.request(&Request::strict(), &bytes).unwrap().image,
+                img
+            );
+            let stats = server.shutdown();
+            assert_eq!(stats.admission_rejected, 0, "{stats:?}");
+            assert!(stats.reconciles(), "{stats:?}");
+        }
     }
 
     #[test]

@@ -57,11 +57,10 @@ pub use crate::codec::RequestKind;
 use crate::codec::{DecodeReport, StagedDecoder};
 use crate::error::CodecError;
 use crate::image::Image;
-use crate::lock_unpoisoned;
 use crate::parallel::resolve_workers;
 use crate::scratch::DecodeScratch;
+use crate::{lock_unpoisoned, sim_time};
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
-use osss_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,8 +98,11 @@ pub struct ServiceConfig {
     /// Byte budget for the decoded-image cache (`0` disables it). An
     /// entry's cost is `width * height * components * 4` bytes.
     pub image_cache_bytes: usize,
-    /// Observability sink. When set, the service exports queue-depth,
-    /// wait/service-time, cache and outcome metrics under `service.*`.
+    /// Observability sink. The service keeps its queue-depth,
+    /// wait/service-time, cache and outcome metrics under `service.*`
+    /// in this registry (in a private one when `None`), and
+    /// [`DecodeService::stats`] reads them back — so one registry backs
+    /// one service; give each service its own.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -554,32 +556,17 @@ impl Gate {
     }
 }
 
+/// Everything the submitters and workers coordinate on, behind the one
+/// `state` lock: a submission checks the flights, the shutdown flag and
+/// the queue — and records its bytes and the queue depth — in one
+/// critical section, so no worker can see a job before its accounting.
+#[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
+    /// Single-flight groups: one entry per queued-or-decoding job,
+    /// holding every requester awaiting that job's result.
+    flights: HashMap<FlightKey, Vec<Waiter>>,
     shutting_down: bool,
-}
-
-/// Atomic outcome tallies; mirrored to the [`MetricsRegistry`] when
-/// configured, kept here too so [`DecodeService::stats`] needs no
-/// registry.
-#[derive(Default)]
-struct Tallies {
-    submitted: AtomicU64,
-    coalesced: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    header_hits: AtomicU64,
-    header_misses: AtomicU64,
-    header_evictions: AtomicU64,
-    image_hits: AtomicU64,
-    image_misses: AtomicU64,
-    image_evictions: AtomicU64,
-    max_queue_depth: AtomicU64,
-    inflight_bytes: AtomicU64,
-    max_inflight_bytes: AtomicU64,
 }
 
 /// Point-in-time service accounting, from [`DecodeService::stats`].
@@ -635,6 +622,9 @@ impl ServiceStats {
     }
 }
 
+/// The service's books: every outcome, cache and pressure figure is one
+/// registry handle, written once and read back by
+/// [`DecodeService::stats`].
 struct Meters {
     queue_depth: Gauge,
     inflight_bytes: Gauge,
@@ -681,13 +671,6 @@ impl Meters {
     }
 }
 
-/// `Duration` → [`SimTime`], saturating: `as_nanos()` is `u128` and
-/// `SimTime::ns` multiplies unchecked, so clamp at both steps.
-fn sim_time(d: Duration) -> SimTime {
-    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    SimTime::ps(ns.saturating_mul(1_000))
-}
-
 struct Shared {
     state: Mutex<QueueState>,
     /// Signalled when work arrives (workers wait here).
@@ -695,80 +678,28 @@ struct Shared {
     /// Signalled when queue space frees up (`submit_wait` waits here).
     space: Condvar,
     capacity: usize,
-    /// Single-flight groups: one entry per queued-or-decoding job,
-    /// holding every requester awaiting that job's result.
-    ///
-    /// Lock order: `singleflight` before `state`, always; and never
-    /// sleep on a condvar while holding `singleflight` — workers must
-    /// be able to sweep/broadcast groups while submitters wait for
-    /// queue space.
-    singleflight: Mutex<HashMap<FlightKey, Vec<Waiter>>>,
     header_cache: Mutex<LruCache<(StreamKey, bool), CachedHeader>>,
     image_cache: Mutex<LruCache<(StreamKey, RequestKind), CachedImage>>,
-    tallies: Tallies,
-    meters: Option<Meters>,
+    meters: Meters,
+    /// High-water marks of the queue depth and of the in-flight bytes
+    /// (the `service.queue.depth` and `service.inflight_bytes` gauges).
+    max_queue_depth: AtomicU64,
+    max_inflight_bytes: AtomicU64,
 }
 
 impl Shared {
-    fn bump(&self, tally: &AtomicU64, meter: impl FnOnce(&Meters) -> &Counter) {
-        tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            meter(m).add(1);
-        }
-    }
-
-    fn set_depth(&self, depth: usize) {
-        let d = depth as u64;
-        self.tallies.max_queue_depth.fetch_max(d, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            m.queue_depth.set(depth as i64);
-        }
-    }
-
-    fn add_inflight(&self, bytes: u64) {
-        let now = self
-            .tallies
-            .inflight_bytes
-            .fetch_add(bytes, Ordering::Relaxed)
-            + bytes;
-        self.tallies
-            .max_inflight_bytes
-            .fetch_max(now, Ordering::Relaxed);
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
-    }
-
-    fn sub_inflight(&self, bytes: u64) {
-        let now = self
-            .tallies
-            .inflight_bytes
-            .fetch_sub(bytes, Ordering::Relaxed)
-            - bytes;
-        if let Some(m) = &self.meters {
-            m.inflight_bytes.set(now as i64);
-        }
-    }
-
-    fn set_singleflight(&self, groups: usize) {
-        if let Some(m) = &self.meters {
-            m.singleflight_inflight.set(groups as i64);
-        }
-    }
-
     /// Resolves one waiter with an error outcome, tallying it and
     /// recording how long it waited between submission and resolution.
     fn resolve_err(&self, waiter: &Waiter, err: ServiceError, now: Instant) {
-        let (tally, meter): (&AtomicU64, fn(&Meters) -> &Counter) = match &err {
-            ServiceError::DeadlineExceeded => (&self.tallies.expired, |m| &m.expired),
-            ServiceError::Cancelled => (&self.tallies.cancelled, |m| &m.cancelled),
-            _ => (&self.tallies.failed, |m| &m.failed),
-        };
-        self.bump(tally, meter);
-        if let Some(m) = &self.meters {
-            m.queue_wait
-                .observe(sim_time(now.saturating_duration_since(waiter.enqueued)));
+        let m = &self.meters;
+        match &err {
+            ServiceError::DeadlineExceeded => &m.expired,
+            ServiceError::Cancelled => &m.cancelled,
+            _ => &m.failed,
         }
+        .inc();
+        m.queue_wait
+            .observe(sim_time(now.saturating_duration_since(waiter.enqueued)));
         let _ = waiter.reply.send(Err(err));
     }
 }
@@ -790,8 +721,8 @@ enum Sweep {
 /// and the oldest survivor inherits the result.
 fn sweep(shared: &Shared, fkey: FlightKey) -> Sweep {
     let now = Instant::now();
-    let mut flights = lock_unpoisoned(&shared.singleflight);
-    let Some(group) = flights.get_mut(&fkey) else {
+    let mut state = lock_unpoisoned(&shared.state);
+    let Some(group) = state.flights.get_mut(&fkey) else {
         // Defensive: the group is created with the job and removed
         // only by the worker that claimed it, so it must still exist.
         return Sweep::Abandon;
@@ -808,10 +739,11 @@ fn sweep(shared: &Shared, fkey: FlightKey) -> Sweep {
         }
     });
     if group.is_empty() {
-        flights.remove(&fkey);
-        let groups = flights.len();
-        drop(flights);
-        shared.set_singleflight(groups);
+        state.flights.remove(&fkey);
+        shared
+            .meters
+            .singleflight_inflight
+            .set(state.flights.len() as i64);
         Sweep::Abandon
     } else {
         Sweep::Continue
@@ -833,18 +765,15 @@ impl DecodeService {
     pub fn new(config: ServiceConfig) -> Self {
         let workers = resolve_workers(config.workers);
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutting_down: false,
-            }),
+            state: Mutex::default(),
             work: Condvar::new(),
             space: Condvar::new(),
             capacity: config.queue_capacity,
-            singleflight: Mutex::new(HashMap::new()),
             header_cache: Mutex::new(LruCache::new(config.header_cache_bytes)),
             image_cache: Mutex::new(LruCache::new(config.image_cache_bytes)),
-            tallies: Tallies::default(),
-            meters: config.metrics.as_ref().map(Meters::new),
+            meters: Meters::new(&config.metrics.unwrap_or_default()),
+            max_queue_depth: AtomicU64::new(0),
+            max_inflight_bytes: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -980,81 +909,80 @@ impl DecodeService {
         space_timeout: Option<Duration>,
     ) -> Result<(), ServiceError> {
         let shared = &self.shared;
+        let m = &shared.meters;
         let fkey = job.flight_key();
         let wait_deadline = space_timeout.map(|t| Instant::now() + t);
+        let mut state = lock_unpoisoned(&shared.state);
         loop {
-            let mut flights = lock_unpoisoned(&shared.singleflight);
-            if let Some(group) = flights.get_mut(&fkey) {
+            if let Some(group) = state.flights.get_mut(&fkey) {
                 waiter.coalesced = true;
                 group.push(waiter);
-                drop(flights);
-                shared.bump(&shared.tallies.coalesced, |m| &m.coalesced);
+                m.coalesced.inc();
                 return Ok(());
             }
-            let mut state = lock_unpoisoned(&shared.state);
             if state.shutting_down {
                 return Err(ServiceError::ShuttingDown);
             }
             if state.queue.len() < shared.capacity {
-                flights.insert(fkey, vec![waiter]);
-                let groups = flights.len();
-                drop(flights);
-                let bytes = job.stream.len() as u64;
+                // Account for the job before it becomes visible: a
+                // worker can claim and retire it as soon as the lock
+                // drops.
+                state.flights.insert(fkey, vec![waiter]);
+                m.singleflight_inflight.set(state.flights.len() as i64);
+                let inflight = m.inflight_bytes.add(job.stream.len() as i64);
+                shared
+                    .max_inflight_bytes
+                    .fetch_max(inflight as u64, Ordering::Relaxed);
                 state.queue.push_back(job);
                 let depth = state.queue.len();
+                m.queue_depth.set(depth as i64);
+                shared
+                    .max_queue_depth
+                    .fetch_max(depth as u64, Ordering::Relaxed);
+                m.submitted.inc();
                 drop(state);
-                shared.bump(&shared.tallies.submitted, |m| &m.submitted);
-                shared.set_singleflight(groups);
-                shared.set_depth(depth);
-                shared.add_inflight(bytes);
                 shared.work.notify_one();
                 return Ok(());
             }
-            // Queue full. Never sleep holding the flight map — workers
-            // need it to sweep and broadcast.
-            drop(flights);
-            let Some(wait_deadline) = wait_deadline else {
-                drop(state);
-                shared.bump(&shared.tallies.rejected, |m| &m.rejected);
-                return Err(ServiceError::QueueFull);
-            };
             let now = Instant::now();
-            if now >= wait_deadline {
-                drop(state);
-                shared.bump(&shared.tallies.rejected, |m| &m.rejected);
-                return Err(ServiceError::QueueFull);
+            match wait_deadline {
+                // Queue full: the wait releases the lock, and the loop
+                // re-checks the flights — one for this key may have
+                // appeared, letting the submission coalesce instead.
+                Some(deadline) if now < deadline => {
+                    state = shared
+                        .space
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+                _ => {
+                    m.rejected.inc();
+                    return Err(ServiceError::QueueFull);
+                }
             }
-            let state = shared
-                .space
-                .wait_timeout(state, wait_deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            drop(state);
-            // Loop: a flight for this key may have appeared while we
-            // slept, letting the submission coalesce instead of queue.
         }
     }
 
     /// A snapshot of the outcome and cache tallies.
     pub fn stats(&self) -> ServiceStats {
-        let t = &self.shared.tallies;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let m = &self.shared.meters;
         ServiceStats {
-            submitted: get(&t.submitted),
-            coalesced: get(&t.coalesced),
-            completed: get(&t.completed),
-            rejected: get(&t.rejected),
-            expired: get(&t.expired),
-            cancelled: get(&t.cancelled),
-            failed: get(&t.failed),
-            header_hits: get(&t.header_hits),
-            header_misses: get(&t.header_misses),
-            header_evictions: get(&t.header_evictions),
-            image_hits: get(&t.image_hits),
-            image_misses: get(&t.image_misses),
-            image_evictions: get(&t.image_evictions),
-            max_queue_depth: get(&t.max_queue_depth),
-            max_inflight_bytes: get(&t.max_inflight_bytes),
+            submitted: m.submitted.get(),
+            coalesced: m.coalesced.get(),
+            completed: m.completed.get(),
+            rejected: m.rejected.get(),
+            expired: m.expired.get(),
+            cancelled: m.cancelled.get(),
+            failed: m.failed.get(),
+            header_hits: m.header_hits.get(),
+            header_misses: m.header_misses.get(),
+            header_evictions: m.header_evictions.get(),
+            image_hits: m.image_hits.get(),
+            image_misses: m.image_misses.get(),
+            image_evictions: m.image_evictions.get(),
+            max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
+            max_inflight_bytes: self.shared.max_inflight_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -1070,17 +998,19 @@ impl DecodeService {
     /// every already-queued request (each still resolves its ticket),
     /// joins them, and returns the final stats.
     pub fn shutdown(mut self) -> ServiceStats {
+        self.stop();
+        self.stats()
+    }
+
+    fn stop(&mut self) {
         self.begin_shutdown();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.stats()
     }
 
     fn begin_shutdown(&self) {
-        let mut state = lock_unpoisoned(&self.shared.state);
-        state.shutting_down = true;
-        drop(state);
+        lock_unpoisoned(&self.shared.state).shutting_down = true;
         self.shared.work.notify_all();
         self.shared.space.notify_all();
     }
@@ -1088,12 +1018,7 @@ impl DecodeService {
 
 impl Drop for DecodeService {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.begin_shutdown();
-            for h in self.workers.drain(..) {
-                let _ = h.join();
-            }
-        }
+        self.stop();
     }
 }
 
@@ -1110,7 +1035,7 @@ fn worker_loop(shared: &Shared) {
             let mut state = lock_unpoisoned(&shared.state);
             loop {
                 if let Some(job) = state.queue.pop_front() {
-                    shared.set_depth(state.queue.len());
+                    shared.meters.queue_depth.set(state.queue.len() as i64);
                     break job;
                 }
                 if state.shutting_down {
@@ -1148,9 +1073,8 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
             ))))
         });
     let service_time = started.elapsed();
-    if let Some(m) = &shared.meters {
-        m.service_time.observe(sim_time(service_time));
-    }
+    let m = &shared.meters;
+    m.service_time.observe(sim_time(service_time));
     // Retire the flight: everyone still attached gets this outcome —
     // including waiters whose deadline has passed by now (the result
     // won the race) and waiters who attached mid-decode. Removing the
@@ -1164,21 +1088,17 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
     let waiters = if matches!(outcome, Err(Abort::Abandoned)) {
         Vec::new()
     } else {
-        let mut flights = lock_unpoisoned(&shared.singleflight);
-        let ws = flights.remove(&job.flight_key()).unwrap_or_default();
-        let groups = flights.len();
-        drop(flights);
-        shared.set_singleflight(groups);
+        let mut state = lock_unpoisoned(&shared.state);
+        let ws = state.flights.remove(&job.flight_key()).unwrap_or_default();
+        m.singleflight_inflight.set(state.flights.len() as i64);
         ws
     };
     match outcome {
         Ok((image, report, served_from)) => {
             for w in waiters {
                 let queue_wait = started.saturating_duration_since(w.enqueued);
-                shared.bump(&shared.tallies.completed, |m| &m.completed);
-                if let Some(m) = &shared.meters {
-                    m.queue_wait.observe(sim_time(queue_wait));
-                }
+                m.completed.inc();
+                m.queue_wait.observe(sim_time(queue_wait));
                 let from = if w.coalesced {
                     ServedFrom::Coalesced
                 } else {
@@ -1205,7 +1125,7 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
             }
         }
     }
-    shared.sub_inflight(job.stream.len() as u64);
+    m.inflight_bytes.add(-(job.stream.len() as i64));
 }
 
 type Served = (Arc<Image>, Option<DecodeReport>, ServedFrom);
@@ -1227,6 +1147,7 @@ impl From<CodecError> for Abort {
 }
 
 fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Served, Abort> {
+    let m = &shared.meters;
     let check = |_tile: usize| -> Result<(), Abort> {
         if sweep(shared, job.flight_key()) == Sweep::Abandon {
             return Err(Abort::Abandoned);
@@ -1246,7 +1167,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     // Level 2: full decoded image, under the submit-time key.
     let image_key = (job.key, job.kind);
     if let Some(hit) = lock_unpoisoned(&shared.image_cache).get(&image_key) {
-        shared.bump(&shared.tallies.image_hits, |m| &m.image_hits);
+        m.image_hits.inc();
         return Ok((hit.image, hit.report, ServedFrom::ImageCache));
     }
 
@@ -1256,11 +1177,11 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     let cached = lock_unpoisoned(&shared.header_cache).get(&header_key);
     let (header, served_from) = match cached {
         Some(h) => {
-            shared.bump(&shared.tallies.header_hits, |m| &m.header_hits);
+            m.header_hits.inc();
             (h, ServedFrom::HeaderCache)
         }
         None => {
-            shared.bump(&shared.tallies.header_misses, |m| &m.header_misses);
+            m.header_misses.inc();
             let parsed =
                 StagedDecoder::open(&job.stream, job.kind).map(|(dec, report)| CachedHeader {
                     dec: Arc::new(dec),
@@ -1271,7 +1192,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
                 Err(e) => {
                     // The parse failure is this flight's one image-
                     // cache miss: it reached the decode path cold.
-                    shared.bump(&shared.tallies.image_misses, |m| &m.image_misses);
+                    m.image_misses.inc();
                     return Err(Abort::Error(ServiceError::Decode(e)));
                 }
             };
@@ -1280,13 +1201,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
                 header.clone(),
                 job.stream.len(),
             );
-            shared
-                .tallies
-                .header_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            if let Some(m) = &shared.meters {
-                m.header_evictions.add(evicted);
-            }
+            m.header_evictions.add(evicted);
             (header, ServedFrom::Cold)
         }
     };
@@ -1300,11 +1215,11 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
     let image_key = (job.key, kind);
     if kind != job.kind {
         if let Some(hit) = lock_unpoisoned(&shared.image_cache).get(&image_key) {
-            shared.bump(&shared.tallies.image_hits, |m| &m.image_hits);
+            m.image_hits.inc();
             return Ok((hit.image, hit.report, ServedFrom::ImageCache));
         }
     }
-    shared.bump(&shared.tallies.image_misses, |m| &m.image_misses);
+    m.image_misses.inc();
 
     // The decode proper: the one-shot entry points' tile loop, with the
     // deadline/cancellation sweep as its per-tile gate, so service
@@ -1323,13 +1238,7 @@ fn serve(shared: &Shared, job: &Job, scratch: &mut DecodeScratch) -> Result<Serv
         },
         image_bytes(&image),
     );
-    shared
-        .tallies
-        .image_evictions
-        .fetch_add(evicted, Ordering::Relaxed);
-    if let Some(m) = &shared.meters {
-        m.image_evictions.add(evicted);
-    }
+    m.image_evictions.add(evicted);
     Ok((image, report, served_from))
 }
 
@@ -1883,7 +1792,6 @@ mod tests {
         // `.expect("service queue lock")`.
         let shared = Arc::clone(&svc.shared);
         std::thread::spawn(move || {
-            let _flights = shared.singleflight.lock().unwrap();
             let _queue = shared.state.lock().unwrap();
             let _headers = shared.header_cache.lock().unwrap();
             let _images = shared.image_cache.lock().unwrap();

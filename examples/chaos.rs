@@ -39,7 +39,7 @@ fn main() {
         ServerConfig {
             handler_threads: 4,
             poll_interval: Duration::from_millis(10),
-            frame_deadline: Some(Duration::from_millis(250)),
+            frame_deadline: Duration::from_millis(250),
             ..ServerConfig::default()
         },
     )

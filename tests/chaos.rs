@@ -97,8 +97,8 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
             submit_timeout: Duration::from_millis(100),
             // Tight enough that a stalled chaotic peer is evicted well
             // inside the soak budget.
-            frame_deadline: Some(Duration::from_millis(500)),
-            idle_timeout: Some(Duration::from_secs(5)),
+            frame_deadline: Duration::from_millis(500),
+            idle_timeout: Duration::from_secs(5),
             metrics: Some(registry.clone()),
             ..ServerConfig::default()
         },
@@ -388,8 +388,8 @@ fn clean_clients_survive_alongside_chaotic_ones() {
             ServerConfig {
                 handler_threads: 4,
                 poll_interval: Duration::from_millis(10),
-                frame_deadline: Some(Duration::from_millis(300)),
-                idle_timeout: Some(Duration::from_secs(5)),
+                frame_deadline: Duration::from_millis(300),
+                idle_timeout: Duration::from_secs(5),
                 ..ServerConfig::default()
             },
         )

@@ -17,11 +17,12 @@
 //! * `STAMPEDE_SEED` — stampede RNG seed (default fixed).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use osss_jpeg2000::jpeg2000::codec::{decode, encode, EncodeParams, Mode};
 use osss_jpeg2000::jpeg2000::image::Image;
-use osss_jpeg2000::{DecodeService, Request, ServiceConfig, ServiceError};
+use osss_jpeg2000::{DecodeService, MetricsRegistry, Request, ServiceConfig, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -271,4 +272,90 @@ fn stampede_on_one_hot_stream_reconciles_exactly() {
         stats.image_misses <= stats.submitted,
         "no flight decodes twice: {stats:?}"
     );
+}
+
+/// Regression: a cache hit retires in microseconds, so a worker can
+/// claim and retire a job the moment the submitter releases the queue
+/// lock. The job's in-flight bytes and the queue depth must be on the
+/// books before that — recorded after the lock, a retire could
+/// subtract bytes not yet added (an overflow that killed the worker in
+/// debug builds, then hung every later request) and leave the gauges
+/// off zero after the drain.
+#[test]
+fn cache_hit_flood_keeps_the_books_exact() {
+    const CLIENTS: usize = 3;
+    const ITERS: usize = 20_000;
+    let streams: Vec<Arc<[u8]>> = (0..3)
+        .map(|i| {
+            let img = Image::synthetic_rgb(16, 16, 9200 + i);
+            encode(&img, &EncodeParams::new(Mode::Lossless))
+                .unwrap()
+                .into()
+        })
+        .collect();
+    let registry = MetricsRegistry::new();
+    let svc = DecodeService::new(ServiceConfig {
+        workers: 2,
+        metrics: Some(registry.clone()),
+        ..ServiceConfig::default()
+    });
+    for stream in &streams {
+        svc.decode(Arc::clone(stream), Request::strict()).unwrap();
+    }
+
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (svc, streams) = (&svc, &streams);
+            scope.spawn(move || {
+                for i in 0..ITERS {
+                    let stream = &streams[(client + i) % streams.len()];
+                    let ticket = svc.submit(Arc::clone(stream), Request::strict()).unwrap();
+                    match ticket.wait_timeout(Duration::from_secs(10)) {
+                        Some(Ok(_)) => {}
+                        Some(Err(e)) => panic!("client {client}, request {i}: {e}"),
+                        None => panic!("client {client}, request {i}: no answer in 10 s"),
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = svc.shutdown();
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!(
+        stats.submitted + stats.coalesced,
+        (streams.len() + CLIENTS * ITERS) as u64
+    );
+    let snap = registry.snapshot();
+    for gauge in [
+        "service.queue.depth",
+        "service.inflight_bytes",
+        "service.singleflight_inflight",
+    ] {
+        assert_eq!(snap.gauges.get(gauge).copied(), Some(0), "{gauge}");
+    }
+    let expected = [
+        ("service.submitted", stats.submitted),
+        ("service.coalesced", stats.coalesced),
+        ("service.completed", stats.completed),
+        ("service.rejected", stats.rejected),
+        ("service.expired", stats.expired),
+        ("service.cancelled", stats.cancelled),
+        ("service.failed", stats.failed),
+        ("service.cache.header.hits", stats.header_hits),
+        ("service.cache.header.misses", stats.header_misses),
+        ("service.cache.header.evictions", stats.header_evictions),
+        ("service.cache.image.hits", stats.image_hits),
+        ("service.cache.image.misses", stats.image_misses),
+        ("service.cache.image.evictions", stats.image_evictions),
+    ];
+    let counters: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("service."))
+        .map(|(name, &value)| (name.as_str(), value))
+        .collect();
+    let mut expected_sorted = expected.to_vec();
+    expected_sorted.sort_unstable();
+    assert_eq!(counters, expected_sorted, "registry vs stats: {stats:?}");
 }
