@@ -1,6 +1,7 @@
 //! The codec throughput benchmark: flags-lattice Tier-1 kernel vs the
-//! retained reference, the inverse-DWT kernels, per-tile entropy decode
-//! on the Table-1 workload, and end-to-end decode throughput.
+//! retained reference, the MQ decoder vs its flowchart reference, the
+//! inverse-DWT kernels, per-tile entropy decode on the Table-1 workload,
+//! and end-to-end decode throughput.
 //!
 //! Unlike the criterion-based benches this one writes its results to
 //! `BENCH_decode.json` at the repository root — the machine-readable
@@ -15,14 +16,20 @@
 //! CI never clobbers the recorded trajectory with noisy quick numbers.
 //! Both modes *gate* on the committed trajectory: if the measured
 //! end-to-end decode regresses more than 25% against the `decode_ns`
-//! recorded in `BENCH_decode.json`, the bench fails.
+//! recorded in `BENCH_decode.json`, the bench fails. Before that
+//! host-dependent gate, two same-run ratio gates hold on any host: the
+//! Tier-1 kernel must beat `t1::reference`, and `MqDecoder` must beat
+//! `mq::reference::MqDecoder` on a p = 0.5 stream, each by
+//! [`MIN_SAME_RUN_SPEEDUP`].
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use jpeg2000::codec::{decode, StagedDecoder};
 use jpeg2000::dwt::{fdwt53_2d, fdwt97_2d, fixed_from_real, idwt53_2d, idwt97_2d_fixed};
+use jpeg2000::mq::{self, MqContext, MqDecoder, MqEncoder};
 use jpeg2000::scratch::DecodeScratch;
-use jpeg2000::t1::{decode_block, encode_block, reference};
+use jpeg2000::t1::{decode_block, encode_block, reference, NUM_CONTEXTS};
 use jpeg2000::tile::BandKind;
 use jpeg2000_models::workload::workload;
 use jpeg2000_models::ModeSel;
@@ -50,6 +57,12 @@ const BASELINE_PRE_DWT_DECODE_NS: [(&str, u64); 2] =
 /// quick pass uses few samples on a noisy shared CPU; it exists to catch
 /// real regressions (a lost kernel optimisation), not jitter.
 const GATE_MAX_RATIO: f64 = 1.25;
+
+/// Minimum speedup of the Tier-1 kernel over `t1::reference` and of
+/// `MqDecoder` over `mq::reference::MqDecoder`. Both sides of each ratio
+/// run in the same process on the same host, so these gates hold on a
+/// machine far slower than the one `BENCH_decode.json` was recorded on.
+const MIN_SAME_RUN_SPEEDUP: f64 = 1.5;
 
 /// Best-of-`samples` wall-clock of `f`, in ns. Min (not mean) because a
 /// 1-CPU container's scheduler noise only ever adds time.
@@ -125,6 +138,57 @@ fn main() {
         BASELINE_KERNEL_NS as f64 / opt_ns as f64,
     );
 
+    // --- MQ only: one 200k-decision, p = 0.5 stream over the Tier-1
+    // context count (the shape of the `mq_roundtrip` property test) ---
+    let mut rng = StdRng::seed_from_u64(4);
+    let ctx_seq: Vec<usize> = (0..200_000)
+        .map(|_| rng.gen_range(0..NUM_CONTEXTS))
+        .collect();
+    let bits: Vec<bool> = ctx_seq.iter().map(|_| rng.gen_bool(0.5)).collect();
+    let mut contexts = [MqContext::default(); NUM_CONTEXTS];
+    let mut enc = MqEncoder::new();
+    for (&k, &bit) in ctx_seq.iter().zip(&bits) {
+        enc.encode(&mut contexts[k], bit);
+    }
+    let stream = enc.finish();
+    let ones = bits.iter().filter(|&&b| b).count() as u32;
+    let mq_fast = || {
+        let mut contexts = [MqContext::default(); NUM_CONTEXTS];
+        let mut dec = MqDecoder::new(black_box(&stream));
+        ctx_seq
+            .iter()
+            .map(|&k| dec.decode(&mut contexts[k]) as u32)
+            .sum::<u32>()
+    };
+    let mq_flowchart = || {
+        let mut contexts = [MqContext::default(); NUM_CONTEXTS];
+        let mut dec = mq::reference::MqDecoder::new(black_box(&stream));
+        ctx_seq
+            .iter()
+            .map(|&k| dec.decode(&mut contexts[k]) as u32)
+            .sum::<u32>()
+    };
+    assert_eq!(
+        mq_fast(),
+        ones,
+        "MQ decoder must round-trip before being timed"
+    );
+    assert_eq!(mq_flowchart(), ones, "MQ reference must round-trip");
+    for _ in 0..warmup {
+        black_box(mq_fast());
+        black_box(mq_flowchart());
+    }
+    let mq_ns = best_ns(samples, || {
+        black_box(mq_fast());
+    });
+    let mq_ref_ns = best_ns(samples, || {
+        black_box(mq_flowchart());
+    });
+    println!(
+        "mq 200k decisions p=0.5: {mq_ns} ns, flowchart reference {mq_ref_ns} ns ({:.2}x)",
+        mq_ref_ns as f64 / mq_ns as f64,
+    );
+
     // --- DWT kernels: 256×256 tile, 3 levels --------------------------
     let n = 256usize;
     let mut rng = StdRng::seed_from_u64(3);
@@ -191,6 +255,19 @@ fn main() {
         decode_ns.push((name, total));
         decode_mbps.push((name, mbps));
         println!("{name}: entropy {per_tile} ns/tile, decode {total} ns ({mbps:.3} MB/s)");
+    }
+
+    // --- Same-run ratio gates: independent of the host's speed ---------
+    for (what, fast, slow) in [
+        ("t1 kernel vs t1::reference", opt_ns, ref_ns),
+        ("MqDecoder vs mq::reference", mq_ns, mq_ref_ns),
+    ] {
+        let speedup = slow as f64 / fast as f64;
+        assert!(
+            speedup >= MIN_SAME_RUN_SPEEDUP,
+            "{what}: {speedup:.2}x, below the {MIN_SAME_RUN_SPEEDUP}x floor \
+             ({fast} ns vs {slow} ns)"
+        );
     }
 
     // --- Regression gate vs the committed trajectory ------------------

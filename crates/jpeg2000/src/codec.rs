@@ -1340,6 +1340,41 @@ mod tests {
         }
     }
 
+    /// Work-counter pin next to the hashes above: decoding the Table-1
+    /// streams tile by tile through one arena does exactly this much
+    /// Tier-1 work, so a faster entropy decoder must show the same work
+    /// in less time. The lossless row is `native_decode` in
+    /// BENCH_observability.json.
+    #[test]
+    fn table1_work_counters_are_pinned() {
+        let img = Image::synthetic_rgb(128, 128, 2008);
+        for (mode, want) in [
+            (Mode::Lossless, [480, 6381, 126_373, 21_259]),
+            (Mode::lossy_default(), [480, 6453, 145_029, 24_709]),
+        ] {
+            let bytes = encode(&img, &EncodeParams::new(mode).tile_size(32, 32)).unwrap();
+            let dec = StagedDecoder::new(&bytes).unwrap();
+            let mut scratch = DecodeScratch::new();
+            let (mut report, mut timings) = Default::default();
+            for t in 0..dec.num_tiles() {
+                dec.decode_tile(
+                    t,
+                    RequestKind::Strict,
+                    &mut scratch,
+                    &mut report,
+                    &mut timings,
+                )
+                .unwrap();
+            }
+            let c = scratch.counters();
+            let got = [c.code_blocks, c.coding_passes, c.mq_renorms, c.bytes_in];
+            assert_eq!(
+                got, want,
+                "{mode:?} code_blocks/coding_passes/mq_renorms/bytes_in"
+            );
+        }
+    }
+
     fn image_fnv(image: &Image) -> u64 {
         fnv1a(
             image

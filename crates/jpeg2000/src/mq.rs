@@ -4,6 +4,26 @@
 //! state machine and 0xFF byte stuffing. It is the paper's "arithmetic
 //! decoder" — the stage that dominates the JPEG 2000 decode time
 //! (88.8 % lossless / 78.6 % lossy in Figure 1).
+//!
+//! [`MqDecoder`] decides without a branch on the symbol, renormalises in
+//! one shift and is `Copy`, so Tier-1 keeps A, C and CT in registers for
+//! a whole coding pass. Its one rule beyond the flowcharts: BYTEIN stays
+//! *lazy*. It runs only when CT is 0 at the start of a renormalisation
+//! step, exactly where T.800's bit-at-a-time RENORMD calls it — never as
+//! soon as CT reaches 0, and C is never pre-loaded past the current
+//! byte. On a corrupt `0xFF 0x80..=0x8F` pair the stuffed byte's top
+//! bit carries into C_high, so an early refill would change the next
+//! decision; strict and tolerant decodes both feed such bytes to the
+//! decoder. The flowchart decoder is kept in `mq::reference` as the
+//! differential-test oracle.
+
+use std::hint::select_unpredictable as select;
+
+/// The flowchart MQ decoder, kept as the bit-exactness oracle for
+/// property tests, `t1::reference` and the `t1_throughput` bench.
+#[cfg(any(test, feature = "reference-t1"))]
+#[path = "mq_reference.rs"]
+pub mod reference;
 
 /// One row of the probability state table:
 /// `(Qe, next-state on MPS, next-state on LPS, switch MPS flag)`.
@@ -240,11 +260,15 @@ impl MqEncoder {
 /// Reading past the end of the data synthesises 1-bits, exactly like
 /// encountering a marker (T.800 C.3.4), so truncated segments decode
 /// without panicking.
-#[derive(Debug, Clone)]
+///
+/// `Copy`, so a Tier-1 coding pass can lift the decoder into a local for
+/// the whole pass — keeping A, C and CT in registers — and write it back
+/// once at the end.
+#[derive(Debug, Clone, Copy)]
 pub struct MqDecoder<'a> {
     c: u32,
     a: u32,
-    ct: i32,
+    ct: u32,
     data: &'a [u8],
     bp: usize,
     renorms: u64,
@@ -261,118 +285,106 @@ impl<'a> MqDecoder<'a> {
             data,
             bp: 0,
             renorms: 0,
-        };
-        dec.byte_in();
+        }
+        .byte_in();
         dec.c <<= 7;
         dec.ct -= 7;
         dec.a = 0x8000;
         dec
     }
 
-    /// Renormalisations performed so far — the decoder's measure of how
-    /// often a decision left the MPS-no-renorm fast path. Counted on the
-    /// out-of-line exchange paths, so the hot loop is unaffected.
+    /// Renormalisations performed so far: one per decision whose new A
+    /// fell below 0x8000 — the decisions that adapt their context and
+    /// shift the registers.
     pub fn renorms(&self) -> u64 {
         self.renorms
     }
 
-    #[inline]
-    fn byte_at(&self, i: usize) -> u8 {
-        self.data.get(i).copied().unwrap_or(0xFF)
-    }
-
-    fn byte_in(&mut self) {
-        if self.byte_at(self.bp) == 0xFF {
-            if self.byte_at(self.bp + 1) > 0x8F {
-                // Marker (or end of data): feed 1-bits.
+    /// BYTEIN: adds the next byte to C and reloads CT. An 0xFF followed
+    /// by a byte above 0x8F (a marker, or the end of the data) feeds
+    /// 1-bits without advancing; any other 0xFF is followed by a stuffed
+    /// 7-bit byte.
+    fn byte_in(mut self) -> Self {
+        let byte_at = |i: usize| self.data.get(i).copied().unwrap_or(0xFF);
+        if byte_at(self.bp) == 0xFF {
+            if byte_at(self.bp + 1) > 0x8F {
                 self.c += 0xFF00;
                 self.ct = 8;
             } else {
                 self.bp += 1;
-                self.c += (self.byte_at(self.bp) as u32) << 9;
+                self.c += (byte_at(self.bp) as u32) << 9;
                 self.ct = 7;
             }
         } else {
             self.bp += 1;
-            self.c += (self.byte_at(self.bp) as u32) << 8;
+            self.c += (byte_at(self.bp) as u32) << 8;
             self.ct = 8;
         }
+        self
     }
 
     /// Decodes one decision in context `cx` (DECODE).
     ///
-    /// The overwhelmingly common case — an MPS with no renormalisation —
-    /// returns from the inlined body without touching the exchange
-    /// logic, keeping the Tier-1 hot loop's per-decision cost to a table
-    /// load, a subtraction and two compares. The exchange/renorm tails
-    /// are kept out of line so they don't bloat every call site.
-    #[inline]
+    /// Branch-free in the symbol: with `a' = A - Qe` and
+    /// `lps = C_high < Qe`, the decision is `MPS ^ lps ^ (a' < Qe)`
+    /// (T.800's MPS and LPS exchanges folded into one expression), C
+    /// loses `Qe << 16` only when `!lps`, and A becomes `Qe` or `a'`.
+    /// The context adapts — to NMPS when the decision equals the MPS,
+    /// else to NLPS with the SWITCH flip — only when the new A is below
+    /// 0x8000. All of these are selects. RENORMD is one shift by the
+    /// new A's leading-zero count, which is 0 when no renormalisation
+    /// is due; only a shift that runs past CT takes the out-of-line
+    /// refill path.
+    #[inline(always)]
     pub fn decode(&mut self, cx: &mut MqContext) -> bool {
-        let qe = STATE_TABLE[cx.state as usize].0 as u32;
-        self.a -= qe;
-        if (self.c >> 16) >= qe {
-            self.c -= qe << 16;
-            if self.a & 0x8000 != 0 {
-                return cx.mps; // MPS, no renormalisation
-            }
-            self.decode_mps_exchange(cx, qe)
+        let (qe, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
+        let qe = qe as u32;
+        let mps = cx.mps;
+        let a = self.a - qe;
+        let lps = (self.c >> 16) < qe;
+        let d = mps ^ lps ^ (a < qe);
+        self.c -= select(lps, 0, qe << 16);
+        let a = select(lps, qe, a);
+        let n = (a << 16).leading_zeros();
+        let renorm = n != 0;
+        cx.state = select(renorm, select(d == mps, nmps, nlps), cx.state);
+        cx.mps = mps ^ (renorm & (d != mps) & switch);
+        self.renorms += renorm as u64;
+        if n <= self.ct {
+            self.a = a << n;
+            self.c <<= n;
+            self.ct -= n;
         } else {
-            self.decode_lps_exchange(cx, qe)
+            let s = MqDecoder { a, ..*self }.renorm_refill(n);
+            // Field by field, so the call returns into a temporary and
+            // never takes the address of a caller's register-held copy.
+            (self.c, self.a, self.ct, self.bp) = (s.c, s.a, s.ct, s.bp);
         }
-    }
-
-    /// MPS exchange path (`a` dropped below 0x8000): resolve the
-    /// conditional exchange, adapt the context, renormalise.
-    #[inline(never)]
-    fn decode_mps_exchange(&mut self, cx: &mut MqContext, qe: u32) -> bool {
-        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
-        let d;
-        if self.a < qe {
-            d = !cx.mps;
-            if switch {
-                cx.mps = !cx.mps;
-            }
-            cx.state = nlps;
-        } else {
-            d = cx.mps;
-            cx.state = nmps;
-        }
-        self.renorm();
         d
     }
 
-    /// LPS exchange path (`chigh < qe`): resolve the conditional
-    /// exchange, adapt the context, renormalise.
+    /// RENORMD for a shift of `n` bits that runs past CT: shift in runs
+    /// of at most CT bits, calling BYTEIN only when CT is 0 at the start
+    /// of a step — exactly where the flowchart's bit-at-a-time loop
+    /// calls it. The refill must stay lazy (never as soon as CT reaches
+    /// 0): the carry bit of a corrupt `0xFF 0x80..=0x8F` pair lands in
+    /// C_high, so refilling one decision early changes that decision.
+    /// Takes and returns the decoder by value so A, C and CT are never
+    /// pinned to memory on the hot path.
+    #[cold]
     #[inline(never)]
-    fn decode_lps_exchange(&mut self, cx: &mut MqContext, qe: u32) -> bool {
-        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
-        let d;
-        if self.a < qe {
-            d = cx.mps;
-            cx.state = nmps;
-        } else {
-            d = !cx.mps;
-            if switch {
-                cx.mps = !cx.mps;
-            }
-            cx.state = nlps;
-        }
-        self.a = qe;
-        self.renorm();
-        d
-    }
-
-    fn renorm(&mut self) {
-        self.renorms += 1;
+    fn renorm_refill(mut self, mut n: u32) -> Self {
         loop {
             if self.ct == 0 {
-                self.byte_in();
+                self = self.byte_in();
             }
-            self.a <<= 1;
-            self.c <<= 1;
-            self.ct -= 1;
-            if self.a & 0x8000 != 0 {
-                break;
+            let s = n.min(self.ct);
+            self.a <<= s;
+            self.c <<= s;
+            self.ct -= s;
+            n -= s;
+            if n == 0 {
+                return self;
             }
         }
     }
@@ -381,6 +393,9 @@ impl<'a> MqDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::t1::NUM_CONTEXTS;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -506,6 +521,111 @@ mod tests {
         let mut cx = MqContext::default();
         for _ in 0..1000 {
             let _ = dec.decode(&mut cx); // must not panic past the end
+        }
+    }
+
+    /// Decodes the context sequence `seq` from `bytes` with the
+    /// branch-free decoder and with the flowchart oracle, every context
+    /// starting from `states`, and asserts the same decisions, the same
+    /// context after each one and the same renormalisation count.
+    fn assert_matches_reference(bytes: &[u8], states: &[(u8, bool)], seq: &[usize]) {
+        let init: Vec<MqContext> = states
+            .iter()
+            .map(|&(state, mps)| MqContext { state, mps })
+            .collect();
+        let (mut fast_cx, mut ref_cx) = (init.clone(), init);
+        let mut fast = MqDecoder::new(bytes);
+        let mut oracle = reference::MqDecoder::new(bytes);
+        for (i, &k) in seq.iter().enumerate() {
+            let d = fast.decode(&mut fast_cx[k]);
+            assert_eq!(
+                d,
+                oracle.decode(&mut ref_cx[k]),
+                "decision {i} on {bytes:02X?}"
+            );
+            assert_eq!(
+                fast_cx[k], ref_cx[k],
+                "context after decision {i} on {bytes:02X?}"
+            );
+        }
+        assert_eq!(fast.renorms(), oracle.renorms(), "renorms on {bytes:02X?}");
+    }
+
+    /// `(bytes, initial (state, mps) per context, context sequence)`.
+    type CarryVector = (&'static [u8], &'static [(u8, bool)], &'static [usize]);
+
+    /// Inputs on which a decoder that refills eagerly — as soon as CT
+    /// reaches 0 — diverges from the flowchart: each holds a corrupt
+    /// `0xFF 0x80..=0x8F` pair whose carry bit reaches C_high one
+    /// decision early. Found by a seeded random search over short biased
+    /// byte strings, then cut to the first diverging decision and the
+    /// fewest bytes; it took 10.4 M random cases to find these six.
+    const CARRY_VECTORS: [CarryVector; 6] = [
+        (&[0x9A, 0x88, 0x89, 0xFF, 0x8F], &[(23, true)], &[0; 26]),
+        (
+            &[0x80, 0xFF, 0x88],
+            &[(37, true), (29, false)],
+            &[0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0],
+        ),
+        (
+            &[0x64, 0x7E, 0xA8, 0x50, 0xFF, 0x8C],
+            &[(6, false), (18, false), (14, true)],
+            &[
+                1, 0, 0, 2, 0, 2, 0, 0, 2, 0, 1, 0, 1, 2, 2, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1,
+            ],
+        ),
+        (
+            &[0x8E, 0xF2, 0xFF, 0x8B],
+            &[(39, true), (12, true)],
+            &[
+                1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1,
+                0,
+            ],
+        ),
+        (
+            &[0xA6, 0x8F, 0x83, 0x8D, 0xFF, 0x8C],
+            &[(1, false), (22, false)],
+            &[
+                0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1,
+                1, 0, 1,
+            ],
+        ),
+        (
+            &[0xEC, 0x77, 0x83, 0xFF, 0x83],
+            &[(21, true), (8, false), (0, true)],
+            &[
+                0, 1, 0, 0, 2, 0, 1, 0, 2, 1, 0, 1, 0, 1, 1, 1, 2, 1, 0, 0, 0, 1, 1,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn carry_vectors_match_reference() {
+        for (bytes, states, seq) in CARRY_VECTORS {
+            assert_matches_reference(bytes, states, seq);
+        }
+    }
+
+    /// A byte biased towards BYTEIN's cases: 0xFF, a stuffed byte
+    /// 0x80..=0x8F (whose top bit carries after an 0xFF), a marker byte
+    /// of 0x90 or more, or any byte.
+    fn biased_byte() -> impl Strategy<Value = u8> {
+        prop_oneof![Just(0xFFu8), 0x80u8..=0x8F, 0x90u8..=0xFF, any::<u8>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On arbitrary (mostly corrupt) byte strings, from arbitrary
+        /// initial context states, the branch-free decoder makes the
+        /// flowchart decoder's decisions and renormalises as often.
+        #[test]
+        fn decode_matches_flowchart_reference(
+            bytes in vec(biased_byte(), 0..48),
+            states in vec((0u8..47, any::<bool>()), NUM_CONTEXTS),
+            seq in vec(0usize..NUM_CONTEXTS, 0..1500),
+        ) {
+            assert_matches_reference(&bytes, &states, &seq);
         }
     }
 

@@ -24,7 +24,7 @@ pub struct DecodeCounters {
     pub code_blocks: u64,
     /// Coding passes executed.
     pub coding_passes: u64,
-    /// MQ renormalisations (exits from the MPS fast path).
+    /// MQ renormalisations: decisions whose new A fell below 0x8000.
     pub mq_renorms: u64,
     /// Compressed bytes consumed by Tier-1.
     pub bytes_in: u64,

@@ -631,7 +631,7 @@ pub struct T1Counters {
     pub coding_passes: u64,
     /// Compressed bytes consumed.
     pub bytes_in: u64,
-    /// MQ renormalisations (exits from the MPS fast path).
+    /// MQ renormalisations: decisions whose new A fell below 0x8000.
     pub mq_renorms: u64,
 }
 
@@ -797,7 +797,7 @@ fn decode_segments_core(
 
 #[allow(clippy::too_many_arguments)]
 fn dec_sig_pass(
-    mq: &mut MqDecoder<'_>,
+    dec: &mut MqDecoder<'_>,
     ctxs: &mut [MqContext; NUM_CONTEXTS],
     flags: &mut [u32],
     mags: &mut [u32],
@@ -807,6 +807,7 @@ fn dec_sig_pass(
     zc: &[u8; 256],
     p: u32,
 ) {
+    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
     let stride = w + 2;
     let mut sy = 0;
     while sy < h {
@@ -837,10 +838,11 @@ fn dec_sig_pass(
         }
         sy += 4;
     }
+    *dec = mq;
 }
 
 fn dec_ref_pass(
-    mq: &mut MqDecoder<'_>,
+    dec: &mut MqDecoder<'_>,
     ctxs: &mut [MqContext; NUM_CONTEXTS],
     flags: &mut [u32],
     mags: &mut [u32],
@@ -848,6 +850,7 @@ fn dec_ref_pass(
     h: usize,
     p: u32,
 ) {
+    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
     let stride = w + 2;
     let mut sy = 0;
     while sy < h {
@@ -860,9 +863,9 @@ fn dec_ref_pass(
             for _dy in 0..sh {
                 let f = flags[i];
                 if f & F_SELF_SIG != 0 && f & F_VISITED == 0 {
-                    if mq.decode(&mut ctxs[mr_lookup(f)]) {
-                        mags[j] |= 1 << p;
-                    }
+                    // Unconditional OR: refinement bits are near-random,
+                    // so a branch on them would mispredict.
+                    mags[j] |= (mq.decode(&mut ctxs[mr_lookup(f)]) as u32) << p;
                     flags[i] |= F_REFINED;
                 }
                 i += stride;
@@ -873,11 +876,12 @@ fn dec_ref_pass(
         }
         sy += 4;
     }
+    *dec = mq;
 }
 
 #[allow(clippy::too_many_arguments)]
 fn dec_cleanup_pass(
-    mq: &mut MqDecoder<'_>,
+    dec: &mut MqDecoder<'_>,
     ctxs: &mut [MqContext; NUM_CONTEXTS],
     flags: &mut [u32],
     mags: &mut [u32],
@@ -887,6 +891,7 @@ fn dec_cleanup_pass(
     zc: &[u8; 256],
     p: u32,
 ) {
+    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
     let stride = w + 2;
     let mut sy = 0;
     while sy < h {
@@ -940,6 +945,7 @@ fn dec_cleanup_pass(
         }
         sy += 4;
     }
+    *dec = mq;
 }
 
 #[cfg(test)]

@@ -6,13 +6,16 @@
 //! context rules. Property tests in the parent module assert that the
 //! optimised encoder emits byte-identical segments and the optimised
 //! decoder reconstructs identical planes, over random geometries, all
-//! band orientations and truncated pass sets.
+//! band orientations and truncated pass sets. The decoder here runs on
+//! the flowchart MQ decoder ([`crate::mq::reference`]), so those tests
+//! compare two fully independent Tier-1 + MQ paths.
 
 use super::{
     initial_contexts, pass_sequence, zc_table_diag, zc_table_hv, PassKind, T1EncodedBlock,
     T1Segment, CTX_MR, CTX_RL, CTX_SC, CTX_UNI, CTX_ZC, NUM_CONTEXTS,
 };
-use crate::mq::{MqContext, MqDecoder, MqEncoder};
+use crate::mq::reference::MqDecoder;
+use crate::mq::{MqContext, MqEncoder};
 use crate::tile::BandKind;
 
 // Per-sample state flags.
