@@ -23,7 +23,6 @@
 //! [`MIN_SAME_RUN_SPEEDUP`].
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use jpeg2000::codec::{decode, StagedDecoder};
 use jpeg2000::dwt::{fdwt53_2d, fdwt97_2d, fixed_from_real, idwt53_2d, idwt97_2d_fixed};
@@ -33,6 +32,7 @@ use jpeg2000::t1::{decode_block, encode_block, reference, NUM_CONTEXTS};
 use jpeg2000::tile::BandKind;
 use jpeg2000_models::workload::workload;
 use jpeg2000_models::ModeSel;
+use osss_bench::best_ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,18 +63,6 @@ const GATE_MAX_RATIO: f64 = 1.25;
 /// run in the same process on the same host, so these gates hold on a
 /// machine far slower than the one `BENCH_decode.json` was recorded on.
 const MIN_SAME_RUN_SPEEDUP: f64 = 1.5;
-
-/// Best-of-`samples` wall-clock of `f`, in ns. Min (not mean) because a
-/// 1-CPU container's scheduler noise only ever adds time.
-fn best_ns(samples: usize, mut f: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best
-}
 
 /// Extracts one named entry of the *top-level* `decode_ns` block from
 /// the committed `BENCH_decode.json` (the first `decode_ns` in the file;

@@ -18,6 +18,19 @@
 
 use jpeg2000::codec::{encode, EncodeParams, Mode};
 use jpeg2000::image::Image;
+use std::time::Instant;
+
+/// Best-of-`samples` wall-clock of `f`, in ns. Min (not mean) because
+/// scheduler noise on a small shared host only ever adds time.
+pub fn best_ns(samples: usize, mut f: impl FnMut()) -> u64 {
+    let mut best = u64::MAX;
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_nanos() as u64);
+    }
+    best
+}
 
 /// A small encoded workload shared by the codec kernel benches.
 pub fn encoded_workload(lossless: bool, size: usize) -> (Image, Vec<u8>) {

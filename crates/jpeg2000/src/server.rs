@@ -36,8 +36,9 @@
 //! submission.
 
 use crate::net::{
-    decode_request, encode_busy, encode_ok, encode_protocol_error, encode_service_error,
-    read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
+    decode_request, encode_busy, encode_component_limit, encode_ok, encode_protocol_error,
+    encode_service_error, read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
+    MAX_WIRE_COMPONENTS,
 };
 use crate::service::{DecodeService, ServiceError};
 use crate::{lock_unpoisoned, sim_time};
@@ -143,7 +144,8 @@ pub struct ServerStats {
     pub busy: u64,
     /// Requests whose deadline passed server-side.
     pub expired: u64,
-    /// Requests whose decode failed.
+    /// Requests whose decode failed, or whose image has more
+    /// components than the OK response can carry (255).
     pub failed: u64,
     /// Requests refused because the service is shutting down.
     pub refused: u64,
@@ -656,6 +658,14 @@ fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool
                     .and_then(crate::service::Ticket::wait);
                 m.inflight_bytes.add(-bytes);
                 match outcome {
+                    Ok(resp) if resp.image.num_components() > MAX_WIRE_COMPONENTS => {
+                        // SIZ admits up to 65 535 components; the OK
+                        // response counts them in one byte. Answer a
+                        // decode failure the client can read, not a
+                        // frame it would misparse.
+                        m.failed.inc();
+                        encode_component_limit(resp.image.num_components())
+                    }
                     Ok(resp) => {
                         m.ok.inc();
                         let report = resp.report.as_ref().map(WireReport::summarise);
@@ -1186,6 +1196,80 @@ mod tests {
             assert_eq!(stats.admission_rejected, 0, "{stats:?}");
             assert!(stats.reconciles(), "{stats:?}");
         }
+    }
+
+    /// An 8×8 8-bit stream with `n` components, no DWT levels and one
+    /// layer: one tile of `n` zero bytes, so every component is one
+    /// empty packet.
+    fn many_component_stream(n: u16) -> Vec<u8> {
+        use crate::codestream::{write_codestream, MainHeader, QuantSpec, TileSegment, Wavelet};
+        let header = MainHeader {
+            width: 8,
+            height: 8,
+            tile_w: 8,
+            tile_h: 8,
+            num_components: n,
+            depth: 8,
+            levels: 0,
+            layers: 1,
+            cb_exp: 6,
+            use_mct: false,
+            wavelet: Wavelet::W53,
+            quant: QuantSpec::Reversible,
+        };
+        let tile = TileSegment {
+            index: 0,
+            data: vec![0; usize::from(n)],
+        };
+        write_codestream(&header, &[tile])
+    }
+
+    /// Regression: SIZ admits up to 65 535 components, but the OK
+    /// response counts them in one byte, so a 256-component image used
+    /// to be tallied `ok` and reach the client as a frame it misparsed
+    /// (`unknown report flag`). The server now answers a decode failure
+    /// naming the limit and tallies it `failed`.
+    #[test]
+    fn images_over_the_wire_component_limit_fail_as_decode_errors() {
+        let registry = MetricsRegistry::new();
+        let service = Arc::new(DecodeService::new(ServiceConfig {
+            workers: 1,
+            metrics: Some(registry.clone()),
+            ..ServiceConfig::default()
+        }));
+        let server = start(
+            Arc::clone(&service),
+            ServerConfig {
+                metrics: Some(registry.clone()),
+                ..ServerConfig::default()
+            },
+        );
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let wide = many_component_stream(256);
+        assert_eq!(decode(&wide).unwrap().image.num_components(), 256);
+        for request in [Request::strict(), Request::tolerant()] {
+            let err = client.request(&request, &wide).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Decode(d) if d.contains("255-component limit")),
+                "{request:?}: {err:?}"
+            );
+        }
+        let widest = many_component_stream(255);
+        let resp = client.request(&Request::strict(), &widest).unwrap();
+        assert_eq!(resp.image, decode(&widest).unwrap().image);
+        assert_eq!(resp.image.num_components(), 255);
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!((stats.failed, stats.ok), (2, 1), "{stats:?}");
+        assert!(stats.reconciles(), "{stats:?}");
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            counter("service.submitted") + counter("service.coalesced"),
+            stats.ok + stats.expired + stats.failed + stats.internal
+        );
+        let svc = Arc::try_unwrap(service).ok().unwrap().shutdown();
+        assert!(svc.reconciles(), "{svc:?}");
     }
 
     #[test]
