@@ -2,37 +2,32 @@
 //! decode as a whole and each stage in isolation so the measured shares
 //! can be cross-checked.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use jpeg2000::codec::{decode, StagedDecoder};
-use osss_bench::encoded_workload;
+use osss_bench::{bench, encoded_workload};
 
-fn bench_profile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig1_profile");
-    group.sample_size(20);
+const GROUP: &str = "fig1_profile";
+
+fn main() {
     for (label, lossless) in [("lossless", true), ("lossy", false)] {
         let (_, bytes) = encoded_workload(lossless, 128);
-        group.bench_function(format!("full_decode_{label}"), |b| {
-            b.iter(|| decode(&bytes).expect("decode"))
+        bench(GROUP, &format!("full_decode_{label}"), 20, || {
+            decode(&bytes).expect("decode")
         });
         let dec = StagedDecoder::new(&bytes).expect("parse");
-        group.bench_function(format!("stage_entropy_{label}"), |b| {
-            b.iter(|| dec.entropy_decode_tile(0).expect("entropy"))
+        bench(GROUP, &format!("stage_entropy_{label}"), 20, || {
+            dec.entropy_decode_tile(0).expect("entropy")
         });
         let coeffs = dec.entropy_decode_tile(0).expect("entropy");
-        group.bench_function(format!("stage_iq_{label}"), |b| {
-            b.iter(|| dec.dequantize_tile(&coeffs))
+        bench(GROUP, &format!("stage_iq_{label}"), 20, || {
+            dec.dequantize_tile(&coeffs)
         });
         let wavelet = dec.dequantize_tile(&coeffs);
-        group.bench_function(format!("stage_idwt_{label}"), |b| {
-            b.iter(|| dec.idwt_tile(wavelet.clone()))
+        bench(GROUP, &format!("stage_idwt_{label}"), 20, || {
+            dec.idwt_tile(wavelet.clone())
         });
         let samples = dec.idwt_tile(wavelet);
-        group.bench_function(format!("stage_mct_dc_{label}"), |b| {
-            b.iter(|| dec.dc_unshift_tile(dec.inverse_mct_tile(samples.clone())))
+        bench(GROUP, &format!("stage_mct_dc_{label}"), 20, || {
+            dec.dc_unshift_tile(dec.inverse_mct_tile(samples.clone()))
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_profile);
-criterion_main!(benches);

@@ -1,25 +1,20 @@
 //! Figure 4: generating the complete implementation model (VHDL + C +
 //! MHS/MSS) for the case-study platform.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fossy::emit::platform::{emit_mhs, emit_mss};
 use jpeg2000_models::synth::synthesis_flow;
+use osss_bench::bench;
 use osss_vta::PlatformDesc;
 
-fn bench_flow(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig4_synthesis_flow");
-    group.bench_function("full_flow", |b| {
-        b.iter(|| {
-            let a = synthesis_flow();
-            assert_eq!(a.vhdl.len(), 2);
-            a
-        })
+const GROUP: &str = "fig4_synthesis_flow";
+
+fn main() {
+    bench(GROUP, "full_flow", 10, || {
+        let a = synthesis_flow();
+        assert_eq!(a.vhdl.len(), 2);
+        a
     });
     let platform = PlatformDesc::ml401_case_study();
-    group.bench_function("emit_mhs", |b| b.iter(|| emit_mhs(&platform)));
-    group.bench_function("emit_mss", |b| b.iter(|| emit_mss(&platform)));
-    group.finish();
+    bench(GROUP, "emit_mhs", 10, || emit_mhs(&platform));
+    bench(GROUP, "emit_mss", 10, || emit_mss(&platform));
 }
-
-criterion_group!(benches, bench_flow);
-criterion_main!(benches);

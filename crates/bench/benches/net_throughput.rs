@@ -188,8 +188,7 @@ fn networked_rate(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--test") || std::env::var_os("BENCH_QUICK").is_some();
+    let quick = osss_bench::quick();
     let per_client = if quick { 6 } else { 40 };
 
     let lossless = workload(ModeSel::Lossless);
@@ -239,10 +238,6 @@ fn main() {
         crc_rate(15, 16)
     };
 
-    if quick {
-        println!("quick mode: skipping BENCH_net.json");
-        return;
-    }
     let json = format!(
         "{{\n  \"bench\": \"net_throughput\",\n  \
          \"workload\": \"table1_128x128_rgb_16_tiles_x2_modes\",\n  \
@@ -254,7 +249,5 @@ fn main() {
          \"busy_retries\": {},\n  \"frames_in\": {},\n  \"frames_out\": {}\n}}\n",
         server_stats.busy, server_stats.frames_in, server_stats.frames_out,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
-    std::fs::write(path, &json).expect("write BENCH_net.json");
-    println!("wrote {path}");
+    osss_bench::write_json("net", &json);
 }

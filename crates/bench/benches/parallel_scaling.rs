@@ -8,30 +8,25 @@
 //! single-core host the parallel backend degrades gracefully to
 //! roughly sequential speed (the work queue just serialises).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jpeg2000::codec::decode;
 use jpeg2000::parallel::decode_parallel;
 use jpeg2000_models::{workload::workload, ModeSel};
+use osss_bench::bench;
 
-fn bench_parallel_scaling(c: &mut Criterion) {
+fn main() {
     for mode in ModeSel::ALL {
         let w = workload(mode);
         let bytes = &*w.codestream;
-        let tiles = w.decoder.num_tiles() as u64;
-        let mut group = c.benchmark_group(format!("parallel_scaling_{mode}"));
-        group.sample_size(20);
-        group.throughput(Throughput::Elements(tiles));
-        group.bench_function("sequential", |b| {
-            b.iter(|| decode(bytes).expect("decode").image)
-        });
+        let tiles = w.decoder.num_tiles() as f64;
+        let group = format!("parallel_scaling_{mode}");
+        let rate = |ns: u64| println!("  {:.1} tiles/s", tiles / (ns as f64 / 1e9));
+        rate(bench(&group, "sequential", 20, || {
+            decode(bytes).expect("decode").image
+        }));
         for workers in [2usize, 4] {
-            group.bench_function(format!("{workers}_workers"), |b| {
-                b.iter(|| decode_parallel(bytes, workers).expect("decode").image)
-            });
+            rate(bench(&group, &format!("{workers}_workers"), 20, || {
+                decode_parallel(bytes, workers).expect("decode").image
+            }));
         }
-        group.finish();
     }
 }
-
-criterion_group!(benches, bench_parallel_scaling);
-criterion_main!(benches);

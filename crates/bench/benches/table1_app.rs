@@ -2,12 +2,10 @@
 //! model version (the *simulated* times are printed by the
 //! `table1_simulation` binary; this bench tracks the simulator itself).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use jpeg2000_models::{run_version, ModeSel, VersionId};
+use osss_bench::bench;
 
-fn bench_app_versions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1_app");
-    group.sample_size(10);
+fn main() {
     for version in [
         VersionId::V1,
         VersionId::V2,
@@ -16,17 +14,11 @@ fn bench_app_versions(c: &mut Criterion) {
         VersionId::V5,
     ] {
         for mode in ModeSel::ALL {
-            group.bench_function(format!("v{version}_{mode}"), |b| {
-                b.iter(|| {
-                    let r = run_version(version, mode).expect("simulation");
-                    assert!(r.functional_ok);
-                    r.decode_time
-                })
+            bench("table1_app", &format!("v{version}_{mode}"), 10, || {
+                let r = run_version(version, mode).expect("simulation");
+                assert!(r.functional_ok);
+                r.decode_time
             });
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_app_versions);
-criterion_main!(benches);

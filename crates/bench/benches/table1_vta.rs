@@ -1,12 +1,10 @@
 //! Table 1, Virtual-Target-Architecture rows: simulating the refined
 //! models 6a/6b/7a/7b (bus transfers, RMI, block-RAM charging included).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use jpeg2000_models::{run_version, ModeSel, VersionId};
+use osss_bench::bench;
 
-fn bench_vta_versions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1_vta");
-    group.sample_size(10);
+fn main() {
     for version in [
         VersionId::V6a,
         VersionId::V6b,
@@ -14,17 +12,11 @@ fn bench_vta_versions(c: &mut Criterion) {
         VersionId::V7b,
     ] {
         for mode in ModeSel::ALL {
-            group.bench_function(format!("v{version}_{mode}"), |b| {
-                b.iter(|| {
-                    let r = run_version(version, mode).expect("simulation");
-                    assert!(r.functional_ok);
-                    (r.decode_time, r.idwt_time)
-                })
+            bench("table1_vta", &format!("v{version}_{mode}"), 10, || {
+                let r = run_version(version, mode).expect("simulation");
+                assert!(r.functional_ok);
+                (r.decode_time, r.idwt_time)
             });
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_vta_versions);
-criterion_main!(benches);

@@ -2,36 +2,31 @@
 //! VHDL emission and Virtex-4 estimation for both IDWT designs — plus
 //! each pass in isolation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fossy::emit::vhdl;
 use fossy::estimate::{estimate_entity, Virtex4};
 use fossy::idwt;
 use fossy::passes::inline_entity;
 use jpeg2000_models::synth::table2;
+use osss_bench::bench;
 
-fn bench_table2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2_synth");
-    group.bench_function("full_table2", |b| {
-        b.iter(|| {
-            let rows = table2();
-            assert_eq!(rows.len(), 2);
-            rows
-        })
+const GROUP: &str = "table2_synth";
+
+fn main() {
+    bench(GROUP, "full_table2", 10, || {
+        let rows = table2();
+        assert_eq!(rows.len(), 2);
+        rows
     });
     let input53 = idwt::idwt53_fossy_input();
     let input97 = idwt::idwt97_fossy_input();
-    group.bench_function("inline_idwt53", |b| b.iter(|| inline_entity(&input53)));
-    group.bench_function("inline_idwt97", |b| b.iter(|| inline_entity(&input97)));
+    bench(GROUP, "inline_idwt53", 10, || inline_entity(&input53));
+    bench(GROUP, "inline_idwt97", 10, || inline_entity(&input97));
     let inlined = inline_entity(&input97);
-    group.bench_function("emit_vhdl_three_address_idwt97", |b| {
-        b.iter(|| vhdl::emit_entity_styled(&inlined, vhdl::Style::ThreeAddress))
+    bench(GROUP, "emit_vhdl_three_address_idwt97", 10, || {
+        vhdl::emit_entity_styled(&inlined, vhdl::Style::ThreeAddress)
     });
     let device = Virtex4::lx25();
-    group.bench_function("estimate_idwt97", |b| {
-        b.iter(|| estimate_entity(&inlined, &device))
+    bench(GROUP, "estimate_idwt97", 10, || {
+        estimate_entity(&inlined, &device)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_table2);
-criterion_main!(benches);

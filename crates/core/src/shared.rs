@@ -1,11 +1,9 @@
 //! OSSS Shared Objects: passive, arbitrated, method-based communication.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use osss_sim::{Context, Event, ProcId, SimResult, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, Context, Event, ProcId, SimResult, SimTime, Simulation};
 
 use crate::sched::{Arbiter, Request};
 
@@ -137,7 +135,7 @@ impl<T> Clone for SharedObject<T> {
 
 impl<T> fmt::Debug for SharedObject<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.inner.state.lock();
+        let st = lock_unpoisoned(&self.inner.state);
         f.debug_struct("SharedObject")
             .field("name", &self.inner.name)
             .field("busy", &st.busy)
@@ -154,14 +152,14 @@ impl<T> SharedObject<T> {
 
     /// A snapshot of the usage statistics.
     pub fn stats(&self) -> SoStats {
-        self.inner.state.lock().stats
+        lock_unpoisoned(&self.inner.state).stats
     }
 
     /// Zero-time inspection of the wrapped data from *outside* the
     /// simulation (test assertions, result extraction after `run`).
     /// Simulated accesses must go through [`Self::call`].
     pub fn inspect<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.inner.data.lock())
+        f(&lock_unpoisoned(&self.inner.data))
     }
 }
 
@@ -277,14 +275,14 @@ impl<T: Send + 'static> SharedObject<T> {
         let t_grant = ctx.now();
 
         let result = {
-            let mut data = self.inner.data.lock();
+            let mut data = lock_unpoisoned(&self.inner.data);
             f(&mut data, ctx)
         };
 
         let t_done = ctx.now();
         let executed = matches!(&result, Ok((true, _)));
         {
-            let mut st = self.inner.state.lock();
+            let mut st = lock_unpoisoned(&self.inner.state);
             st.busy = None;
             if executed {
                 st.stats.calls = st.stats.calls.saturating_add(1);
@@ -305,7 +303,7 @@ impl<T: Send + 'static> SharedObject<T> {
     fn acquire(&self, ctx: &Context, opts: CallOptions) -> SimResult<()> {
         let me = ctx.pid();
         {
-            let mut st = self.inner.state.lock();
+            let mut st = lock_unpoisoned(&self.inner.state);
             let seq = st.next_seq;
             st.next_seq += 1;
             st.pending.push(Request {
@@ -320,10 +318,10 @@ impl<T: Send + 'static> SharedObject<T> {
         }
         loop {
             {
-                let mut st = self.inner.state.lock();
+                let mut st = lock_unpoisoned(&self.inner.state);
                 if st.busy.is_none() {
                     if st.granted.is_none() {
-                        let mut arb = self.inner.arbiter.lock();
+                        let mut arb = lock_unpoisoned(&self.inner.arbiter);
                         if let Some(idx) = arb.pick(&st.pending) {
                             let r = st.pending[idx];
                             st.granted = Some((r.client, r.seq));
@@ -348,7 +346,6 @@ impl<T: Send + 'static> SharedObject<T> {
 mod tests {
     use super::*;
     use crate::sched::{Fcfs, RoundRobin, StaticPriority};
-    use std::sync::Mutex as StdMutex;
 
     #[test]
     fn blocking_call_serialises_access() {
@@ -372,7 +369,7 @@ mod tests {
 
     #[test]
     fn fcfs_grants_in_arrival_order() {
-        let order = Arc::new(StdMutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new();
         let so = SharedObject::new(&mut sim, "so", (), Fcfs::new());
         for i in 0..4u32 {
@@ -393,7 +390,7 @@ mod tests {
 
     #[test]
     fn static_priority_grants_high_priority_first() {
-        let order = Arc::new(StdMutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new();
         let so = SharedObject::new(&mut sim, "so", (), StaticPriority::new());
         // A long-running call occupies the object first; then all three
@@ -419,7 +416,7 @@ mod tests {
 
     #[test]
     fn round_robin_alternates_clients() {
-        let order = Arc::new(StdMutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new();
         let so = SharedObject::new(&mut sim, "so", (), RoundRobin::new());
         for i in 0..2u32 {

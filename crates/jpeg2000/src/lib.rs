@@ -80,19 +80,6 @@ pub mod t1;
 pub mod t2;
 pub mod tile;
 
-/// Locks `m`, recovering from poisoning.
-///
-/// Poisoning only records that *some* thread panicked while holding the
-/// guard; it does not mean the data is broken. Every critical section
-/// behind these locks — the service's queue state and LRU caches,
-/// the server's connection queue, the chaos proxy's stats — leaves its
-/// state consistent before anything in it can panic, so the right
-/// response is to keep serving, not to propagate a panic into every
-/// later caller (regression: `service_survives_a_poisoned_lock`).
-pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// `Duration` → [`osss_sim::SimTime`], saturating: `as_nanos()` is
 /// `u128` and `SimTime::ns` multiplies unchecked, so clamp at both
 /// steps. The service and server histograms share it, so

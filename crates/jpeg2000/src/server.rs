@@ -41,7 +41,8 @@ use crate::net::{
     MAX_WIRE_COMPONENTS,
 };
 use crate::service::{DecodeService, ServiceError};
-use crate::{lock_unpoisoned, sim_time};
+use crate::sim_time;
+use osss_sim::lock_unpoisoned;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -59,7 +59,8 @@ use crate::error::CodecError;
 use crate::image::Image;
 use crate::parallel::resolve_workers;
 use crate::scratch::DecodeScratch;
-use crate::{lock_unpoisoned, sim_time};
+use crate::sim_time;
+use osss_sim::lock_unpoisoned;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -7,9 +7,7 @@
 //! run.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use jpeg2000::codec::{StagedDecoder, TileCoeffs, TileSamples, TileWavelet};
 use jpeg2000::image::Image;
@@ -17,7 +15,7 @@ use osss_core::sched::{Arbiter, Fcfs, RoundRobin, StaticPriority};
 use osss_core::{SharedObject, SwTask};
 use osss_sim::probe::MetricsRegistry;
 use osss_sim::trace::Tracer;
-use osss_sim::{SimError, SimReport, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, SimError, SimReport, SimTime, Simulation};
 
 use crate::timing::{
     hw_idwt_time, hw_iq_time, so_arb_delay, so_copy_time, sw_stage_times, NUM_TILES,
@@ -70,15 +68,15 @@ impl Metrics {
     }
 
     pub(crate) fn tiles_count(&self) -> u64 {
-        *self.tiles_done.lock()
+        *lock_unpoisoned(&self.tiles_done)
     }
 
     pub(crate) fn add_idwt(&self, d: SimTime) {
-        *self.inner.lock() += d;
+        *lock_unpoisoned(&self.inner) += d;
     }
 
     pub(crate) fn idwt(&self) -> SimTime {
-        *self.inner.lock()
+        *lock_unpoisoned(&self.inner)
     }
 
     /// Accounts one IDWT busy interval `[start, end]`: accumulates the
@@ -97,7 +95,7 @@ impl Metrics {
     /// `sw.tiles_done` staircase (its last step lands exactly at the
     /// run's end time).
     pub(crate) fn tile_done(&self, now: SimTime) {
-        let mut done = self.tiles_done.lock();
+        let mut done = lock_unpoisoned(&self.tiles_done);
         *done += 1;
         if let Some(tr) = &self.tracer {
             tr.record_at(now, "sw.tiles_done", *done);
@@ -110,7 +108,7 @@ impl Metrics {
     /// traced `hwsw.credit` signal is *negative* whenever the pipeline
     /// holds work — the guaranteed signed signal in every observed VCD.
     pub(crate) fn credit(&self, now: SimTime, delta: i64) {
-        let mut c = self.credit.lock();
+        let mut c = lock_unpoisoned(&self.credit);
         *c += delta;
         if let Some(tr) = &self.tracer {
             tr.record_at(now, "hwsw.credit", *c);
@@ -132,11 +130,11 @@ impl Outputs {
     }
 
     pub(crate) fn place(&self, index: usize, samples: TileSamples) {
-        self.tiles.lock()[index] = Some(samples);
+        lock_unpoisoned(&self.tiles)[index] = Some(samples);
     }
 
     pub(crate) fn assemble(&self, dec: &StagedDecoder) -> Option<Image> {
-        let tiles = self.tiles.lock();
+        let tiles = lock_unpoisoned(&self.tiles);
         let mut img = dec.blank_image();
         for t in tiles.iter() {
             dec.place_tile(&mut img, t.as_ref()?);

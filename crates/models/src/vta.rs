@@ -12,14 +12,11 @@
 //! * the shared object's tile storage in explicit **block RAM**, whose
 //!   per-access cycles the filter blocks pay during the transform.
 
-use std::sync::Arc;
-
-use bytes::BytesMut;
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use jpeg2000::codec::{StagedDecoder, TileSamples, TileWavelet};
 use osss_core::{sched::Fcfs, SharedObject, SwTask};
-use osss_sim::{SimError, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, SimError, SimTime, Simulation};
 use osss_vta::{
     BusConfig, Channel, ChannelStats, FaultConfig, FaultStats, FaultyChannel, OpbBus, P2pChannel,
     ReliableRmi, RetryPolicy, RmiError, RmiService, RmiStats, Serialise, SoftwareProcessor,
@@ -43,7 +40,7 @@ impl Serialise for Words {
     fn serialised_bytes(&self) -> usize {
         self.0 * 4
     }
-    fn write(&self, out: &mut BytesMut) {
+    fn write(&self, out: &mut Vec<u8>) {
         out.resize(out.len() + self.serialised_bytes(), 0);
     }
 }
@@ -435,7 +432,7 @@ pub(crate) fn run_fault_vta(
                         // reached the pipeline. Render it mid-gray. No sim
                         // time is charged — the budget was already paid in
                         // transfer, deadline and backoff waits.
-                        degraded.lock().push(i);
+                        lock_unpoisoned(&degraded).push(i);
                         o2.place(i, mid_gray_tile(&dec, i));
                     }
                 }
@@ -451,7 +448,7 @@ pub(crate) fn run_fault_vta(
                 ) {
                     Ok(samples) => {
                         if push_retried || rmi.stats().retries > r0 {
-                            *recovered.lock() += 1;
+                            *lock_unpoisoned(&recovered) += 1;
                         }
                         let samples = env.eet(ctx, t.ict, || dec.inverse_mct_tile(samples))?;
                         let samples = env.eet(ctx, t.dc, || dec.dc_unshift_tile(samples))?;
@@ -459,7 +456,7 @@ pub(crate) fn run_fault_vta(
                     }
                     Err(RmiError::Sim(e)) => return Err(e),
                     Err(_) => {
-                        degraded.lock().push(i);
+                        lock_unpoisoned(&degraded).push(i);
                         o2.place(i, mid_gray_tile(&dec, i));
                     }
                 }
@@ -548,7 +545,7 @@ pub(crate) fn run_fault_vta(
 
     let report = sim.run()?;
     let degraded = {
-        let mut d = degraded.lock().clone();
+        let mut d = lock_unpoisoned(&degraded).clone();
         d.sort_unstable();
         d
     };
@@ -566,7 +563,7 @@ pub(crate) fn run_fault_vta(
     let image_ok = assembled == expected;
     let mut transport = faulty.stats();
     transport.merge(&filter_channel.stats());
-    let tiles_recovered = *recovered.lock();
+    let tiles_recovered = *lock_unpoisoned(&recovered);
     Ok(FaultRunResult {
         mode,
         fault,

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use crate::error::{SimError, SimResult};
 use crate::event::{Event, EventId};
 use crate::kernel::{ProcId, Resume, Shared, YieldMsg};
+use crate::lock_unpoisoned;
 use crate::time::SimTime;
 
 /// Handle a process uses to interact with the simulation kernel.
@@ -65,12 +66,12 @@ impl Context {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        lock_unpoisoned(&self.shared.state).now
     }
 
     /// Creates a named event from within a process.
     pub fn event(&self, name: &str) -> Event {
-        let id = self.shared.state.lock().new_event(name);
+        let id = lock_unpoisoned(&self.shared.state).new_event(name);
         Event {
             id,
             shared: Arc::clone(&self.shared),
@@ -83,10 +84,7 @@ impl Context {
     where
         F: FnOnce(&Context) -> SimResult<()> + Send + 'static,
     {
-        self.shared
-            .state
-            .lock()
-            .queue_spawn(name.to_string(), Box::new(body));
+        lock_unpoisoned(&self.shared.state).queue_spawn(name.to_string(), Box::new(body));
     }
 
     /// Suspends this process for `t` of simulated time.
@@ -99,7 +97,7 @@ impl Context {
     /// [`SimError::Terminated`] when the simulation is shutting down.
     pub fn wait(&self, t: SimTime) -> SimResult<()> {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             if st.ended {
                 return Err(SimError::Terminated);
             }
@@ -117,7 +115,7 @@ impl Context {
     /// [`SimError::Terminated`] when the simulation is shutting down.
     pub fn wait_event(&self, event: &Event) -> SimResult<()> {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             if st.ended {
                 return Err(SimError::Terminated);
             }
@@ -139,7 +137,7 @@ impl Context {
     pub fn wait_any(&self, events: &[&Event]) -> SimResult<EventId> {
         assert!(!events.is_empty(), "wait_any needs at least one event");
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             if st.ended {
                 return Err(SimError::Terminated);
             }
@@ -149,7 +147,7 @@ impl Context {
             }
         }
         self.block()?;
-        let st = self.shared.state.lock();
+        let st = lock_unpoisoned(&self.shared.state);
         Ok(st
             .wake_reason(self.pid)
             .expect("event wakeup carries its id"))
@@ -174,7 +172,7 @@ impl Context {
     /// [`SimError::Terminated`] when the simulation is shutting down.
     pub fn wait_event_timeout(&self, event: &Event, timeout: SimTime) -> SimResult<bool> {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             if st.ended {
                 return Err(SimError::Terminated);
             }
@@ -184,25 +182,25 @@ impl Context {
             st.schedule_proc(self.pid, gen, at);
         }
         self.block()?;
-        let st = self.shared.state.lock();
+        let st = lock_unpoisoned(&self.shared.state);
         Ok(st.wake_reason(self.pid).is_some())
     }
 
     /// Delta-notifies `event`: waiters resume in the next delta cycle at the
     /// current simulation time.
     pub fn notify(&self, event: &Event) {
-        self.shared.state.lock().notify_delta(event.id);
+        lock_unpoisoned(&self.shared.state).notify_delta(event.id);
     }
 
     /// Immediately notifies `event`: waiters become runnable within the
     /// current evaluation phase.
     pub fn notify_now(&self, event: &Event) {
-        self.shared.state.lock().fire_event(event.id);
+        lock_unpoisoned(&self.shared.state).fire_event(event.id);
     }
 
     /// Notifies `event` after `t` of simulated time.
     pub fn notify_after(&self, event: &Event, t: SimTime) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock_unpoisoned(&self.shared.state);
         let at = st.now.saturating_add(t);
         st.schedule_event(event.id, at);
     }

@@ -5,14 +5,13 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use crate::context::Context;
 use crate::error::{SimError, SimResult};
 use crate::event::{Event, EventId};
+use crate::lock_unpoisoned;
 use crate::probe::{ProcSched, SchedProbe, SchedSnapshot};
 use crate::time::SimTime;
 
@@ -272,7 +271,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub(crate) fn event_name(&self, id: EventId) -> String {
-        self.state.lock().events[id.0].name.clone()
+        lock_unpoisoned(&self.state).events[id.0].name.clone()
     }
 }
 
@@ -349,7 +348,7 @@ impl Simulation {
 
     /// Creates a named event.
     pub fn event(&mut self, name: &str) -> Event {
-        let id = self.shared.state.lock().new_event(name);
+        let id = lock_unpoisoned(&self.shared.state).new_event(name);
         Event {
             id,
             shared: Arc::clone(&self.shared),
@@ -371,7 +370,7 @@ impl Simulation {
         let pid = ProcId(self.slots.len());
         let name_arc: Arc<str> = Arc::from(name.as_str());
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             debug_assert_eq!(st.procs.len(), pid.0);
             st.procs.push(ProcRec {
                 name: Arc::clone(&name_arc),
@@ -454,12 +453,12 @@ impl Simulation {
             // Evaluation phase.
             loop {
                 let next = {
-                    let mut st = self.shared.state.lock();
+                    let mut st = lock_unpoisoned(&self.shared.state);
                     st.runnable.pop_front()
                 };
                 let Some(pid) = next else { break };
                 {
-                    let mut st = self.shared.state.lock();
+                    let mut st = lock_unpoisoned(&self.shared.state);
                     if st.procs[pid.0].status != ProcStatus::Runnable {
                         continue;
                     }
@@ -472,7 +471,7 @@ impl Simulation {
 
             // Update phase.
             let hooks = {
-                let mut st = self.shared.state.lock();
+                let mut st = lock_unpoisoned(&self.shared.state);
                 std::mem::take(&mut st.pending_updates)
             };
             let mut changed = Vec::new();
@@ -484,7 +483,7 @@ impl Simulation {
 
             // Delta-notification phase.
             {
-                let mut st = self.shared.state.lock();
+                let mut st = lock_unpoisoned(&self.shared.state);
                 let mut pending = std::mem::take(&mut st.pending_delta);
                 pending.extend(changed);
                 for eid in pending {
@@ -505,7 +504,7 @@ impl Simulation {
 
             // Timed phase.
             let advanced = {
-                let mut st = self.shared.state.lock();
+                let mut st = lock_unpoisoned(&self.shared.state);
                 match st.timed.peek() {
                     None => false,
                     Some(Reverse(head)) => {
@@ -581,7 +580,7 @@ impl Simulation {
             YieldMsg::Waiting => {}
             YieldMsg::Finished(result) => {
                 {
-                    let mut st = self.shared.state.lock();
+                    let mut st = lock_unpoisoned(&self.shared.state);
                     st.procs[pid.0].status = ProcStatus::Finished;
                 }
                 if let Some(handle) = self.slots[pid.0].join.take() {
@@ -595,7 +594,7 @@ impl Simulation {
         }
         // Materialise processes spawned by the step we just ran.
         let spawns = {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             std::mem::take(&mut st.pending_spawns)
         };
         for s in spawns {
@@ -605,7 +604,7 @@ impl Simulation {
     }
 
     fn report(&self) -> SimReport {
-        let st = self.shared.state.lock();
+        let st = lock_unpoisoned(&self.shared.state);
         let mut finished = 0;
         let mut blocked = Vec::new();
         for p in &st.procs {
@@ -626,7 +625,7 @@ impl Simulation {
 
     /// Current simulated time (between runs).
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        lock_unpoisoned(&self.shared.state).now
     }
 
     /// Turns on scheduler instrumentation (per-process activations,
@@ -634,7 +633,7 @@ impl Simulation {
     /// before running. Without this call the scheduler pays a single
     /// `Option` check per hook site and collects nothing.
     pub fn enable_sched_probe(&mut self) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock_unpoisoned(&self.shared.state);
         if st.probe.is_none() {
             st.probe = Some(SchedProbe::default());
         }
@@ -645,7 +644,7 @@ impl Simulation {
     /// completed waits only; a process still blocked at snapshot time
     /// contributes its past waits.
     pub fn sched_snapshot(&self) -> Option<SchedSnapshot> {
-        let st = self.shared.state.lock();
+        let st = lock_unpoisoned(&self.shared.state);
         let probe = st.probe.as_ref()?;
         let procs = st
             .procs
@@ -673,12 +672,12 @@ impl Simulation {
 
     fn terminate_all(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_unpoisoned(&self.shared.state);
             st.ended = true;
         }
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             let finished = {
-                let st = self.shared.state.lock();
+                let st = lock_unpoisoned(&self.shared.state);
                 st.procs[idx].status == ProcStatus::Finished
             };
             if finished {

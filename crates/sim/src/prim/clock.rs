@@ -1,13 +1,12 @@
 //! A periodic clock source (`sc_clock`-like).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
 use crate::error::SimResult;
 use crate::event::Event;
 use crate::kernel::Simulation;
+use crate::lock_unpoisoned;
 use crate::time::{Frequency, SimTime};
 
 struct Inner {
@@ -56,7 +55,7 @@ impl std::fmt::Debug for Clock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Clock")
             .field("period", &self.inner.period)
-            .field("ticks", &*self.inner.ticks.lock())
+            .field("ticks", &*lock_unpoisoned(&self.inner.ticks))
             .finish()
     }
 }
@@ -77,7 +76,7 @@ impl Clock {
     /// Spawns the generator process; the first edge fires one period after
     /// simulation start. Idempotent.
     pub fn start(&self, sim: &mut Simulation) {
-        let mut started = self.inner.started.lock();
+        let mut started = lock_unpoisoned(&self.inner.started);
         if *started {
             return;
         }
@@ -85,7 +84,7 @@ impl Clock {
         let inner = Arc::clone(&self.inner);
         sim.spawn_process("clock_gen", move |ctx| loop {
             ctx.wait(inner.period)?;
-            *inner.ticks.lock() += 1;
+            *lock_unpoisoned(&inner.ticks) += 1;
             ctx.notify(&inner.tick);
         });
     }
@@ -97,7 +96,7 @@ impl Clock {
 
     /// Rising edges generated so far.
     pub fn ticks(&self) -> u64 {
-        *self.inner.ticks.lock()
+        *lock_unpoisoned(&self.inner.ticks)
     }
 
     /// The tick event (for `wait_any` compositions).

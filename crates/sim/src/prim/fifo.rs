@@ -2,14 +2,13 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
 use crate::error::SimResult;
 use crate::event::Event;
 use crate::kernel::Simulation;
+use crate::lock_unpoisoned;
 
 struct Inner<T> {
     queue: Mutex<VecDeque<T>>,
@@ -66,7 +65,7 @@ impl<T> Clone for Fifo<T> {
 impl<T: fmt::Debug> fmt::Debug for Fifo<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Fifo")
-            .field("len", &self.inner.queue.lock().len())
+            .field("len", &lock_unpoisoned(&self.inner.queue).len())
             .field("capacity", &self.inner.capacity)
             .finish()
     }
@@ -92,7 +91,7 @@ impl<T: Send + 'static> Fifo<T> {
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.queue.lock().len()
+        lock_unpoisoned(&self.inner.queue).len()
     }
 
     /// Whether the FIFO holds no items.
@@ -114,7 +113,7 @@ impl<T: Send + 'static> Fifo<T> {
         let mut value = Some(value);
         loop {
             {
-                let mut q = self.inner.queue.lock();
+                let mut q = lock_unpoisoned(&self.inner.queue);
                 if q.len() < self.inner.capacity {
                     q.push_back(value.take().expect("value still pending"));
                     ctx.notify(&self.inner.not_empty);
@@ -133,7 +132,7 @@ impl<T: Send + 'static> Fifo<T> {
     pub fn read(&self, ctx: &Context) -> SimResult<T> {
         loop {
             {
-                let mut q = self.inner.queue.lock();
+                let mut q = lock_unpoisoned(&self.inner.queue);
                 if let Some(v) = q.pop_front() {
                     ctx.notify(&self.inner.not_full);
                     return Ok(v);
@@ -145,7 +144,7 @@ impl<T: Send + 'static> Fifo<T> {
 
     /// Non-blocking write; returns the value back if the FIFO is full.
     pub fn try_write(&self, ctx: &Context, value: T) -> Result<(), T> {
-        let mut q = self.inner.queue.lock();
+        let mut q = lock_unpoisoned(&self.inner.queue);
         if q.len() < self.inner.capacity {
             q.push_back(value);
             ctx.notify(&self.inner.not_empty);
@@ -157,7 +156,7 @@ impl<T: Send + 'static> Fifo<T> {
 
     /// Non-blocking read.
     pub fn try_read(&self, ctx: &Context) -> Option<T> {
-        let mut q = self.inner.queue.lock();
+        let mut q = lock_unpoisoned(&self.inner.queue);
         let v = q.pop_front();
         if v.is_some() {
             ctx.notify(&self.inner.not_full);

@@ -1,14 +1,13 @@
 //! A mutex for simulated processes.
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
 use crate::error::SimResult;
 use crate::event::Event;
 use crate::kernel::{ProcId, Simulation};
+use crate::lock_unpoisoned;
 
 struct Inner {
     owner: Mutex<Option<ProcId>>,
@@ -53,7 +52,7 @@ pub struct SimMutex {
 impl fmt::Debug for SimMutex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimMutex")
-            .field("owner", &*self.inner.owner.lock())
+            .field("owner", &*lock_unpoisoned(&self.inner.owner))
             .finish()
     }
 }
@@ -81,7 +80,7 @@ impl SimMutex {
     pub fn lock(&self, ctx: &Context) -> SimResult<()> {
         loop {
             {
-                let mut owner = self.inner.owner.lock();
+                let mut owner = lock_unpoisoned(&self.inner.owner);
                 match *owner {
                     None => {
                         *owner = Some(ctx.pid());
@@ -98,7 +97,7 @@ impl SimMutex {
 
     /// Attempts to take the lock without blocking.
     pub fn try_lock(&self, ctx: &Context) -> bool {
-        let mut owner = self.inner.owner.lock();
+        let mut owner = lock_unpoisoned(&self.inner.owner);
         if owner.is_none() {
             *owner = Some(ctx.pid());
             true
@@ -113,7 +112,7 @@ impl SimMutex {
     ///
     /// Panics if the calling process does not hold the lock.
     pub fn unlock(&self, ctx: &Context) {
-        let mut owner = self.inner.owner.lock();
+        let mut owner = lock_unpoisoned(&self.inner.owner);
         assert_eq!(*owner, Some(ctx.pid()), "SimMutex unlocked by a non-owner");
         *owner = None;
         ctx.notify(&self.inner.released);

@@ -1,14 +1,13 @@
 //! Counting semaphore for simulated processes.
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
 use crate::error::SimResult;
 use crate::event::Event;
 use crate::kernel::Simulation;
+use crate::lock_unpoisoned;
 
 struct Inner {
     count: Mutex<usize>,
@@ -49,7 +48,7 @@ pub struct Semaphore {
 impl fmt::Debug for Semaphore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Semaphore")
-            .field("available", &*self.inner.count.lock())
+            .field("available", &*lock_unpoisoned(&self.inner.count))
             .finish()
     }
 }
@@ -67,7 +66,7 @@ impl Semaphore {
 
     /// Currently available permits.
     pub fn available(&self) -> usize {
-        *self.inner.count.lock()
+        *lock_unpoisoned(&self.inner.count)
     }
 
     /// Blocks until a permit is available, then takes one.
@@ -78,7 +77,7 @@ impl Semaphore {
     pub fn acquire(&self, ctx: &Context) -> SimResult<()> {
         loop {
             {
-                let mut count = self.inner.count.lock();
+                let mut count = lock_unpoisoned(&self.inner.count);
                 if *count > 0 {
                     *count -= 1;
                     return Ok(());
@@ -90,7 +89,7 @@ impl Semaphore {
 
     /// Takes a permit if one is available.
     pub fn try_acquire(&self) -> bool {
-        let mut count = self.inner.count.lock();
+        let mut count = lock_unpoisoned(&self.inner.count);
         if *count > 0 {
             *count -= 1;
             true
@@ -101,7 +100,7 @@ impl Semaphore {
 
     /// Returns one permit.
     pub fn release(&self, ctx: &Context) {
-        *self.inner.count.lock() += 1;
+        *lock_unpoisoned(&self.inner.count) += 1;
         ctx.notify(&self.inner.released);
     }
 }

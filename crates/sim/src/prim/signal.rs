@@ -1,14 +1,13 @@
 //! Signals with SystemC-like evaluate/update semantics.
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
 use crate::error::SimResult;
 use crate::event::{Event, EventId};
 use crate::kernel::{Simulation, UpdateHook};
+use crate::lock_unpoisoned;
 
 struct Core<T> {
     current: T,
@@ -26,7 +25,7 @@ where
     T: Clone + PartialEq + Send + Sync,
 {
     fn apply(&self) -> Option<EventId> {
-        let mut core = self.core.lock();
+        let mut core = lock_unpoisoned(&self.core);
         core.queued = false;
         match core.next.take() {
             Some(next) if next != core.current => {
@@ -84,7 +83,7 @@ impl<T> Clone for Signal<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Signal<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let core = self.inner.core.lock();
+        let core = lock_unpoisoned(&self.inner.core);
         f.debug_struct("Signal")
             .field("current", &core.current)
             .field("pending", &core.next)
@@ -113,7 +112,7 @@ where
 
     /// Reads the currently visible value.
     pub fn read(&self) -> T {
-        self.inner.core.lock().current.clone()
+        lock_unpoisoned(&self.inner.core).current.clone()
     }
 
     /// Schedules `value` to become visible in the next delta cycle.
@@ -121,13 +120,13 @@ where
     /// The last write of an evaluation phase wins, matching `sc_signal`.
     pub fn write(&self, ctx: &Context, value: T) {
         let register = {
-            let mut core = self.inner.core.lock();
+            let mut core = lock_unpoisoned(&self.inner.core);
             core.next = Some(value);
             !std::mem::replace(&mut core.queued, true)
         };
         if register {
             let hook: Arc<dyn UpdateHook> = Arc::clone(&self.inner) as Arc<dyn UpdateHook>;
-            ctx.shared().state.lock().register_update(hook);
+            lock_unpoisoned(&ctx.shared().state).register_update(hook);
         }
     }
 
@@ -144,7 +143,7 @@ where
     pub fn wait_until(&self, ctx: &Context, pred: impl Fn(&T) -> bool) -> SimResult<()> {
         loop {
             {
-                let core = self.inner.core.lock();
+                let core = lock_unpoisoned(&self.inner.core);
                 if pred(&core.current) {
                     return Ok(());
                 }

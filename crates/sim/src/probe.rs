@@ -29,10 +29,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::lock_unpoisoned;
 use crate::time::SimTime;
 
 /// Number of log2 picosecond buckets: covers one picosecond up to
@@ -163,12 +162,12 @@ pub struct Histogram(Arc<Mutex<TimeHistogram>>);
 impl Histogram {
     /// Records one duration.
     pub fn observe(&self, t: SimTime) {
-        self.0.lock().observe(t);
+        lock_unpoisoned(&self.0).observe(t);
     }
 
     /// A copy of the current distribution.
     pub fn snapshot(&self) -> TimeHistogram {
-        self.0.lock().clone()
+        lock_unpoisoned(&self.0).clone()
     }
 }
 
@@ -217,7 +216,7 @@ pub struct MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("metrics", &self.inner.lock().len())
+            .field("metrics", &lock_unpoisoned(&self.inner).len())
             .finish()
     }
 }
@@ -234,7 +233,7 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Metric,
         pick: impl Fn(&Metric) -> Option<T>,
     ) -> T {
-        let mut map = self.inner.lock();
+        let mut map = lock_unpoisoned(&self.inner);
         let m = map.entry(name.to_string()).or_insert_with(make);
         match pick(m) {
             Some(t) => t,
@@ -296,12 +295,12 @@ impl MetricsRegistry {
 
     /// Whether no metric has been registered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock_unpoisoned(&self.inner).is_empty()
     }
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.inner.lock();
+        let map = lock_unpoisoned(&self.inner);
         let mut snap = MetricsSnapshot::default();
         for (name, m) in map.iter() {
             match m {
@@ -456,7 +455,7 @@ impl SchedSnapshot {
         merged.merge(&self.wait_hist);
         // Histogram handles have no bulk-store; re-observing would skew
         // the buckets, so replace through a fresh merge each export.
-        *h.0.lock() = merged;
+        *lock_unpoisoned(&h.0) = merged;
     }
 }
 

@@ -2,11 +2,10 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::context::Context;
+use crate::lock_unpoisoned;
 use crate::time::SimTime;
 
 /// One recorded value change.
@@ -71,7 +70,7 @@ impl Tracer {
     /// Appends a record at an explicit time — for callers outside a
     /// simulation process (native worker threads, post-run analysis).
     pub fn record_at(&self, time: SimTime, name: &str, value: impl ToString) {
-        self.records.lock().push(TraceRecord {
+        lock_unpoisoned(&self.records).push(TraceRecord {
             time,
             name: name.to_string(),
             value: value.to_string(),
@@ -80,7 +79,7 @@ impl Tracer {
 
     /// Number of records captured so far.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        lock_unpoisoned(&self.records).len()
     }
 
     /// Whether no records were captured.
@@ -90,13 +89,13 @@ impl Tracer {
 
     /// A snapshot of all records.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().clone()
+        lock_unpoisoned(&self.records).clone()
     }
 
     /// Renders the dump as `time  name = value` lines.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for r in self.records.lock().iter() {
+        for r in lock_unpoisoned(&self.records).iter() {
             let _ = writeln!(out, "{:>14}  {} = {}", r.time.to_string(), r.name, r.value);
         }
         out
@@ -112,7 +111,7 @@ impl Tracer {
     /// not folded onto their absolute value. Non-numeric signals are
     /// declared `string` so their `s...` changes are valid VCD.
     pub fn to_vcd(&self) -> String {
-        let mut records = self.records.lock().clone();
+        let mut records = lock_unpoisoned(&self.records).clone();
         records.sort_by_key(|r| r.time);
 
         // Stable identifier per traced name, in first-appearance order,

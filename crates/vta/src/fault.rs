@@ -12,12 +12,10 @@
 //! or not they arrive intact), while the injected faults are accounted
 //! separately in [`FaultStats`].
 
-use std::sync::Arc;
-
-use osss_sim::{Context, SimResult, SimTime};
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::channel::{Channel, ChannelStats, TransferOutcome};
+use osss_sim::{lock_unpoisoned, Context, SimResult, SimTime};
 
 /// Domain-separation constants for the per-fault-kind hash streams.
 const STREAM_TRANSFER: u64 = 0x7452_414E_5346_4552; // "TRANSFER"
@@ -212,7 +210,7 @@ impl FaultyChannel {
 
     /// Snapshot of the injected-fault accounting.
     pub fn fault_stats(&self) -> FaultStats {
-        self.state.lock().stats
+        lock_unpoisoned(&self.state).stats
     }
 }
 
@@ -229,7 +227,7 @@ impl Channel for FaultyChannel {
     ) -> SimResult<TransferOutcome> {
         let cfg = &self.config;
         let n = {
-            let mut st = self.state.lock();
+            let mut st = lock_unpoisoned(&self.state);
             let n = st.counter;
             st.counter += 1;
             n
@@ -263,7 +261,7 @@ impl Channel for FaultyChannel {
             TransferOutcome::Clean
         };
 
-        let mut st = self.state.lock();
+        let mut st = lock_unpoisoned(&self.state);
         let s = &mut st.stats;
         s.transfers = s.transfers.saturating_add(1);
         s.words = s.words.saturating_add(words as u64);
@@ -311,7 +309,7 @@ mod tests {
         sim.spawn_process("client", move |ctx| {
             for _ in 0..transfers {
                 let o = probe.transfer_outcome(ctx, words, 0)?;
-                out2.lock().push(o.is_clean());
+                lock_unpoisoned(&out2).push(o.is_clean());
             }
             Ok(())
         });
@@ -319,7 +317,7 @@ mod tests {
             .expect("run")
             .expect_all_finished()
             .expect("all done");
-        let v = out.lock().clone();
+        let v = lock_unpoisoned(&out).clone();
         (v, faulty.fault_stats())
     }
 

@@ -7,12 +7,10 @@
 //! slice usage and adds per-access cycles. That added latency is the main
 //! source of the IDWT-time inflation between models 3 and 6a in Table 1.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use osss_core::{sched::Fcfs, SharedObject};
-use osss_sim::{Context, Frequency, SimResult, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, Context, Frequency, SimResult, SimTime, Simulation};
 
 /// Access statistics of a memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,12 +102,12 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
 
     /// Capacity in words.
     pub fn words(&self) -> usize {
-        self.inner.data.lock().len()
+        lock_unpoisoned(&self.inner.data).len()
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> MemStats {
-        *self.inner.stats.lock()
+        *lock_unpoisoned(&self.inner.stats)
     }
 
     /// Reads one word, charging the read latency.
@@ -124,11 +122,11 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
     pub fn read(&self, ctx: &Context, addr: usize) -> SimResult<T> {
         let t = self.inner.freq.cycles(self.inner.read_cycles);
         ctx.wait(t)?;
-        let mut stats = self.inner.stats.lock();
+        let mut stats = lock_unpoisoned(&self.inner.stats);
         stats.reads += 1;
         stats.access_time += t;
         drop(stats);
-        Ok(self.inner.data.lock()[addr])
+        Ok(lock_unpoisoned(&self.inner.data)[addr])
     }
 
     /// Writes one word, charging the write latency.
@@ -143,11 +141,11 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
     pub fn write(&self, ctx: &Context, addr: usize, value: T) -> SimResult<()> {
         let t = self.inner.freq.cycles(self.inner.write_cycles);
         ctx.wait(t)?;
-        let mut stats = self.inner.stats.lock();
+        let mut stats = lock_unpoisoned(&self.inner.stats);
         stats.writes += 1;
         stats.access_time += t;
         drop(stats);
-        self.inner.data.lock()[addr] = value;
+        lock_unpoisoned(&self.inner.data)[addr] = value;
         Ok(())
     }
 
@@ -164,7 +162,7 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
             .freq
             .cycles(reads * self.inner.read_cycles + writes * self.inner.write_cycles);
         ctx.wait(t)?;
-        let mut stats = self.inner.stats.lock();
+        let mut stats = lock_unpoisoned(&self.inner.stats);
         stats.reads += reads;
         stats.writes += writes;
         stats.access_time += t;
@@ -174,7 +172,7 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
     /// Direct (zero-time) access to the backing store, for loading test
     /// data and checking results outside the timed path.
     pub fn with_data<R>(&self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut self.inner.data.lock())
+        f(&mut lock_unpoisoned(&self.inner.data))
     }
 }
 

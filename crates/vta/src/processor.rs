@@ -1,11 +1,9 @@
 //! Software processors: the N:1 target of software-task mapping.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use osss_core::{EetSink, TaskEnv};
-use osss_sim::{Context, Event, Frequency, SimResult, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, Context, Event, Frequency, SimResult, SimTime, Simulation};
 
 /// Utilisation statistics of one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,7 +104,7 @@ impl SoftwareProcessor {
 
     /// Utilisation statistics snapshot.
     pub fn stats(&self) -> CpuStats {
-        *self.inner.stats.lock()
+        *lock_unpoisoned(&self.inner.stats)
     }
 
     /// Maps a software task onto this processor: returns the execution
@@ -119,7 +117,7 @@ impl SoftwareProcessor {
     fn acquire(&self, ctx: &Context) -> SimResult<()> {
         loop {
             {
-                let mut busy = self.inner.busy.lock();
+                let mut busy = lock_unpoisoned(&self.inner.busy);
                 if !*busy {
                     *busy = true;
                     return Ok(());
@@ -130,7 +128,7 @@ impl SoftwareProcessor {
     }
 
     fn release(&self, ctx: &Context) {
-        *self.inner.busy.lock() = false;
+        *lock_unpoisoned(&self.inner.busy) = false;
         ctx.notify(&self.inner.released);
     }
 }
@@ -156,7 +154,7 @@ impl EetSink for SoftwareProcessor {
             }
         }
         let elapsed = ctx.now() - start;
-        let mut stats = self.inner.stats.lock();
+        let mut stats = lock_unpoisoned(&self.inner.stats);
         stats.eet_blocks += 1;
         stats.busy += t;
         stats.contention += elapsed.checked_sub(t).unwrap_or(SimTime::ZERO);
@@ -214,8 +212,7 @@ mod tests {
 
     #[test]
     fn timeslicing_interleaves_long_blocks() {
-        use std::sync::Mutex as StdMutex;
-        let finish_order = Arc::new(StdMutex::new(Vec::new()));
+        let finish_order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new();
         let base = SoftwareProcessor::new(&mut sim, "cpu0", Frequency::mhz(100));
         let cpu = base.with_timeslice(SimTime::ms(1));

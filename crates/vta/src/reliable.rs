@@ -13,12 +13,10 @@
 //! All randomness comes from the same seeded hash stream as the fault
 //! layer, so a fault-sweep replay is bit-identical.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use bytes::{BufMut, Bytes, BytesMut};
 use osss_core::{CallOptions, SharedObject, SoStats};
-use osss_sim::{Context, Event, SimError, SimResult, SimTime};
-use parking_lot::Mutex;
+use osss_sim::{lock_unpoisoned, Context, Event, SimError, SimResult, SimTime};
 
 use crate::channel::{ChannelStats, TransferOutcome};
 use crate::fault::mix;
@@ -87,16 +85,13 @@ impl std::error::Error for RmiError {
 
 /// Appends the reliability trailer to `value`'s serialised payload:
 /// `payload ++ len(u32) ++ crc32(u32)`, both big-endian.
-pub fn encode_frame<A: Serialise + ?Sized>(value: &A) -> Bytes {
-    let mut payload = BytesMut::with_capacity(value.serialised_bytes());
-    value.write(&mut payload);
-    let payload = payload.freeze();
-    let crc = crc32(payload.as_slice());
-    let mut out = BytesMut::with_capacity(payload.len() + FRAME_TRAILER_BYTES);
-    out.put_slice(payload.as_slice());
-    out.put_u32(payload.len() as u32);
-    out.put_u32(crc);
-    out.freeze()
+pub fn encode_frame<A: Serialise + ?Sized>(value: &A) -> Vec<u8> {
+    let mut out = Vec::with_capacity(value.serialised_bytes() + FRAME_TRAILER_BYTES);
+    value.write(&mut out);
+    let crc = crc32(&out);
+    (out.len() as u32).write(&mut out);
+    crc.write(&mut out);
+    out
 }
 
 /// Verifies a frame's trailer; returns the payload length in bytes.
@@ -354,7 +349,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
 
     /// Snapshot of the protocol accounting.
     pub fn stats(&self) -> RmiStats {
-        *self.shared.stats.lock()
+        *lock_unpoisoned(&self.shared.stats)
     }
 
     /// The underlying shared object's statistics.
@@ -418,7 +413,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
     ) -> Result<R, RmiError> {
         let t0 = ctx.now();
         let invoke_n = {
-            let mut st = self.shared.stats.lock();
+            let mut st = lock_unpoisoned(&self.shared.stats);
             st.invokes = st.invokes.saturating_add(1);
             st.invokes
         };
@@ -448,7 +443,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
             }
         }
 
-        let mut st = self.shared.stats.lock();
+        let mut st = lock_unpoisoned(&self.shared.stats);
         st.completed = st.completed.saturating_add(1);
         if failures.attempts > 0 {
             st.recovered = st.recovered.saturating_add(1);
@@ -469,7 +464,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
     fn send_frame(
         &self,
         ctx: &Context,
-        frame: &Bytes,
+        frame: &[u8],
         words: usize,
         is_request: bool,
     ) -> Result<Option<FrameFault>, RmiError> {
@@ -479,8 +474,8 @@ impl<T: Send + 'static> ReliableRmi<T> {
             .transfer_outcome(ctx, words, self.rmi.priority())?;
         match outcome {
             TransferOutcome::Clean => {
-                debug_assert!(check_frame(frame.as_slice()).is_ok());
-                let mut st = self.shared.stats.lock();
+                debug_assert!(check_frame(frame).is_ok());
+                let mut st = lock_unpoisoned(&self.shared.stats);
                 st.payload_words = st
                     .payload_words
                     .saturating_add((words - RELIABLE_TRAILER_WORDS) as u64);
@@ -492,12 +487,12 @@ impl<T: Send + 'static> ReliableRmi<T> {
             TransferOutcome::Corrupt { .. } => {
                 // Model the receiver: any bit damage must fail the check.
                 debug_assert!({
-                    let mut damaged = frame.as_slice().to_vec();
+                    let mut damaged = frame.to_vec();
                     damaged[0] ^= 0x80;
                     check_frame(&damaged).is_err()
                 });
                 {
-                    let mut st = self.shared.stats.lock();
+                    let mut st = lock_unpoisoned(&self.shared.stats);
                     st.overhead_words = st.overhead_words.saturating_add(words as u64);
                 }
                 if is_request {
@@ -508,7 +503,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
                 }
             }
             TransferOutcome::Dropped => {
-                let mut st = self.shared.stats.lock();
+                let mut st = lock_unpoisoned(&self.shared.stats);
                 st.overhead_words = st.overhead_words.saturating_add(words as u64);
                 drop(st);
                 self.await_deadline(ctx)?;
@@ -538,7 +533,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
     ) -> Result<(), RmiError> {
         failures.attempts += 1;
         {
-            let mut st = self.shared.stats.lock();
+            let mut st = lock_unpoisoned(&self.shared.stats);
             match fault {
                 FrameFault::Timeout => {
                     st.timeouts = st.timeouts.saturating_add(1);
@@ -552,7 +547,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
         }
         if failures.attempts > self.policy.max_retries {
             {
-                let mut st = self.shared.stats.lock();
+                let mut st = lock_unpoisoned(&self.shared.stats);
                 st.failed = st.failed.saturating_add(1);
             }
             return Err(if self.policy.max_retries == 0 {
@@ -570,7 +565,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
         }
         let wait = self.policy.backoff(invoke_n, failures.attempts);
         {
-            let mut st = self.shared.stats.lock();
+            let mut st = lock_unpoisoned(&self.shared.stats);
             st.retries = st.retries.saturating_add(1);
             st.backoff_time = st.backoff_time.saturating_add(wait);
         }
@@ -596,20 +591,17 @@ mod tests {
         let v: Vec<i32> = (0..50).collect();
         let frame = encode_frame(&v);
         assert_eq!(frame.len(), v.serialised_bytes() + FRAME_TRAILER_BYTES);
-        assert_eq!(
-            check_frame(frame.as_slice()).expect("clean"),
-            v.serialised_bytes()
-        );
+        assert_eq!(check_frame(&frame).expect("clean"), v.serialised_bytes());
         // Damage anywhere — payload, length, CRC — must be caught.
         for pos in [0, 17, frame.len() - 7, frame.len() - 1] {
-            let mut bad = frame.as_slice().to_vec();
+            let mut bad = frame.clone();
             bad[pos] ^= 0x01;
             assert!(check_frame(&bad).is_err(), "flip at {pos} undetected");
         }
         assert!(check_frame(&[0u8; 7]).is_err(), "short frame must fail");
         // The empty payload still carries a valid trailer.
         let empty = encode_frame(&());
-        assert_eq!(check_frame(empty.as_slice()).expect("clean"), 0);
+        assert_eq!(check_frame(&empty).expect("clean"), 0);
     }
 
     #[test]
@@ -653,11 +645,11 @@ mod tests {
                     }
                 }
             }
-            *out2.lock() = acc;
+            *lock_unpoisoned(&out2) = acc;
             Ok(())
         });
         let end = sim.run().expect("run").end_time;
-        let result = out.lock().clone();
+        let result = lock_unpoisoned(&out).clone();
         (result, probe.stats(), end)
     }
 

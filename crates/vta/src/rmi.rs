@@ -170,7 +170,7 @@ mod tests {
     use crate::bus::{BusConfig, OpbBus};
     use crate::p2p::P2pChannel;
     use osss_core::sched::Fcfs;
-    use osss_sim::{Frequency, SimTime, Simulation};
+    use osss_sim::{lock_unpoisoned, Frequency, SimTime, Simulation};
 
     #[test]
     fn invoke_adds_transfer_cost_on_both_sides() {
@@ -202,18 +202,18 @@ mod tests {
                 Arc::new(OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz()))
             };
             let svc = RmiService::new(so, ch);
-            let out = Arc::new(parking_lot::Mutex::new(0i64));
+            let out = Arc::new(std::sync::Mutex::new(0i64));
             let out2 = Arc::clone(&out);
             sim.spawn_process("client", move |ctx| {
                 let args: Vec<i32> = (0..1000).collect();
                 let r = svc.invoke(ctx, &args, &0i64, |_, _| {
                     Ok(args.iter().map(|&v| v as i64).sum::<i64>())
                 })?;
-                *out2.lock() = r;
+                *lock_unpoisoned(&out2) = r;
                 Ok(())
             });
             let t = sim.run().expect("run").end_time;
-            let v = *out.lock();
+            let v = *lock_unpoisoned(&out);
             (t, v)
         };
         let (t_bus, v_bus) = run(false);

@@ -3,9 +3,8 @@
 //! OSSS transfers method arguments and results over channels in
 //! 32-bit-word chunks; the serialisation layer defines how many words a
 //! value occupies (for cycle-accurate transfer costs) and how it is laid
-//! out (so VTA models move real bytes, not hand-waved sizes).
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! out (so VTA models move real bytes, not hand-waved sizes). Scalars
+//! are big-endian (network byte order).
 
 /// Bytes per channel word.
 pub const WORD_BYTES: usize = 4;
@@ -21,7 +20,7 @@ pub const WORD_BYTES: usize = 4;
 /// let words = tile.serialised_words();
 /// assert_eq!(words, 101); // length prefix + 100 payload words
 /// let bytes = tile.to_bytes();
-/// let back = Vec::<i32>::from_bytes(&mut bytes.clone()).unwrap();
+/// let back = Vec::<i32>::from_bytes(&mut bytes.as_slice()).unwrap();
 /// assert_eq!(back, tile);
 /// ```
 pub trait Serialise {
@@ -29,7 +28,7 @@ pub trait Serialise {
     fn serialised_bytes(&self) -> usize;
 
     /// Appends the serialised representation.
-    fn write(&self, out: &mut BytesMut);
+    fn write(&self, out: &mut Vec<u8>);
 
     /// Serialised size in whole channel words (rounded up).
     fn serialised_words(&self) -> usize {
@@ -37,63 +36,54 @@ pub trait Serialise {
     }
 
     /// Convenience: serialises into a fresh buffer.
-    fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.serialised_bytes());
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.serialised_bytes());
         self.write(&mut out);
-        out.freeze()
+        out
     }
 }
 
 /// The inverse of [`Serialise`].
 pub trait Deserialise: Sized {
-    /// Reads a value back; `None` if the buffer is too short.
-    fn from_bytes(buf: &mut Bytes) -> Option<Self>;
+    /// Reads a value from the front of `buf` and advances `buf` past
+    /// it; `None` if the buffer is too short.
+    fn from_bytes(buf: &mut &[u8]) -> Option<Self>;
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $put:ident, $get:ident, $bytes:expr) => {
+    ($($t:ty),*) => {$(
         impl Serialise for $t {
             fn serialised_bytes(&self) -> usize {
-                $bytes
+                size_of::<$t>()
             }
-            fn write(&self, out: &mut BytesMut) {
-                out.$put(*self);
+            fn write(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
             }
         }
         impl Deserialise for $t {
-            fn from_bytes(buf: &mut Bytes) -> Option<Self> {
-                if buf.remaining() < $bytes {
-                    return None;
-                }
-                Some(buf.$get())
+            fn from_bytes(buf: &mut &[u8]) -> Option<Self> {
+                let (bytes, rest) = buf.split_first_chunk()?;
+                *buf = rest;
+                Some(<$t>::from_be_bytes(*bytes))
             }
         }
-    };
+    )*};
 }
 
-impl_scalar!(u8, put_u8, get_u8, 1);
-impl_scalar!(u16, put_u16, get_u16, 2);
-impl_scalar!(u32, put_u32, get_u32, 4);
-impl_scalar!(u64, put_u64, get_u64, 8);
-impl_scalar!(i32, put_i32, get_i32, 4);
-impl_scalar!(i64, put_i64, get_i64, 8);
-impl_scalar!(f64, put_f64, get_f64, 8);
+impl_scalar!(u8, u16, u32, u64, i32, i64, f64);
 
 impl Serialise for bool {
     fn serialised_bytes(&self) -> usize {
         1
     }
-    fn write(&self, out: &mut BytesMut) {
-        out.put_u8(*self as u8);
+    fn write(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 }
 
 impl Deserialise for bool {
-    fn from_bytes(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        Some(buf.get_u8() != 0)
+    fn from_bytes(buf: &mut &[u8]) -> Option<Self> {
+        u8::from_bytes(buf).map(|b| b != 0)
     }
 }
 
@@ -101,11 +91,11 @@ impl Serialise for () {
     fn serialised_bytes(&self) -> usize {
         0
     }
-    fn write(&self, _out: &mut BytesMut) {}
+    fn write(&self, _out: &mut Vec<u8>) {}
 }
 
 impl Deserialise for () {
-    fn from_bytes(_buf: &mut Bytes) -> Option<Self> {
+    fn from_bytes(_buf: &mut &[u8]) -> Option<Self> {
         Some(())
     }
 }
@@ -114,8 +104,8 @@ impl<T: Serialise> Serialise for Vec<T> {
     fn serialised_bytes(&self) -> usize {
         4 + self.iter().map(Serialise::serialised_bytes).sum::<usize>()
     }
-    fn write(&self, out: &mut BytesMut) {
-        out.put_u32(self.len() as u32);
+    fn write(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).write(out);
         for v in self {
             v.write(out);
         }
@@ -123,11 +113,8 @@ impl<T: Serialise> Serialise for Vec<T> {
 }
 
 impl<T: Deserialise> Deserialise for Vec<T> {
-    fn from_bytes(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let n = buf.get_u32() as usize;
+    fn from_bytes(buf: &mut &[u8]) -> Option<Self> {
+        let n = u32::from_bytes(buf)? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             out.push(T::from_bytes(buf)?);
@@ -140,14 +127,14 @@ impl<A: Serialise, B: Serialise> Serialise for (A, B) {
     fn serialised_bytes(&self) -> usize {
         self.0.serialised_bytes() + self.1.serialised_bytes()
     }
-    fn write(&self, out: &mut BytesMut) {
+    fn write(&self, out: &mut Vec<u8>) {
         self.0.write(out);
         self.1.write(out);
     }
 }
 
 impl<A: Deserialise, B: Deserialise> Deserialise for (A, B) {
-    fn from_bytes(buf: &mut Bytes) -> Option<Self> {
+    fn from_bytes(buf: &mut &[u8]) -> Option<Self> {
         Some((A::from_bytes(buf)?, B::from_bytes(buf)?))
     }
 }
@@ -156,7 +143,7 @@ impl<T: Serialise, const N: usize> Serialise for [T; N] {
     fn serialised_bytes(&self) -> usize {
         self.iter().map(Serialise::serialised_bytes).sum()
     }
-    fn write(&self, out: &mut BytesMut) {
+    fn write(&self, out: &mut Vec<u8>) {
         for v in self {
             v.write(out);
         }
@@ -174,10 +161,12 @@ mod tests {
     use super::*;
 
     fn roundtrip<T: Serialise + Deserialise + PartialEq + std::fmt::Debug>(v: T) {
-        let mut b = v.to_bytes();
-        assert_eq!(b.len(), v.serialised_bytes());
-        let back = T::from_bytes(&mut b).expect("deserialise");
+        let bytes = v.to_bytes();
+        assert_eq!(bytes.len(), v.serialised_bytes());
+        let mut rest = bytes.as_slice();
+        let back = T::from_bytes(&mut rest).expect("deserialise");
         assert_eq!(back, v);
+        assert!(rest.is_empty(), "{} bytes left over", rest.len());
     }
 
     #[test]
@@ -220,7 +209,7 @@ mod tests {
     fn truncated_buffer_returns_none() {
         let v = vec![1i32, 2, 3];
         let bytes = v.to_bytes();
-        let mut cut = bytes.slice(0..bytes.len() - 2);
+        let mut cut = &bytes[..bytes.len() - 2];
         assert!(Vec::<i32>::from_bytes(&mut cut).is_none());
     }
 

@@ -22,9 +22,9 @@ proptest! {
             0..20,
         ),
     ) {
-        let mut bytes = v.to_bytes();
+        let bytes = v.to_bytes();
         prop_assert_eq!(bytes.len(), v.serialised_bytes());
-        let back = Vec::<(i32, Vec<u16>)>::from_bytes(&mut bytes).unwrap();
+        let back = Vec::<(i32, Vec<u16>)>::from_bytes(&mut bytes.as_slice()).unwrap();
         prop_assert_eq!(back, v);
     }
 
