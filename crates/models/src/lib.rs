@@ -171,31 +171,111 @@ pub struct VersionResult {
     pub so_arbitration_wait: SimTime,
 }
 
+/// One point of the design space: a structure, its software-task count
+/// and the layer its blocks are bound at. Every entry point runs one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Model {
+    /// Version 1: one software task runs all five stages.
+    SwOnly,
+    /// Versions 2 and 4: the tasks share a blocking IQ+IDWT co-processor.
+    Coprocessor { tasks: usize },
+    /// Versions 3 and 5: the tasks feed the three-block IDWT pipeline.
+    Pipeline { tasks: usize, policy: ArbPolicy },
+    /// Versions 6a–7b: the pipeline mapped onto the VTA, with the IDWT
+    /// data links on the bus or on point-to-point channels.
+    Vta { tasks: usize, p2p: bool },
+}
+
+impl Model {
+    /// The Table-1 point of `version`: the 2/3/6 rows run one software
+    /// task, the 4/5/7 rows four.
+    pub(crate) fn of(version: VersionId) -> Model {
+        use VersionId::*;
+        let tasks = match version {
+            V4 | V5 | V7a | V7b => 4,
+            _ => 1,
+        };
+        match version {
+            V1 => Model::SwOnly,
+            V2 | V4 => Model::Coprocessor { tasks },
+            V3 | V5 => Model::Pipeline {
+                tasks,
+                policy: ArbPolicy::Fcfs,
+            },
+            V6a | V7a => Model::Vta { tasks, p2p: false },
+            V6b | V7b => Model::Vta { tasks, p2p: true },
+        }
+    }
+
+    fn tasks(self) -> usize {
+        match self {
+            Model::SwOnly => 1,
+            Model::Coprocessor { tasks }
+            | Model::Pipeline { tasks, .. }
+            | Model::Vta { tasks, .. } => tasks,
+        }
+    }
+
+    /// The Table-1 row a point belongs to, the inverse of [`Model::of`]
+    /// for any task count.
+    fn version(self) -> VersionId {
+        use VersionId::*;
+        let (one_task, more) = match self {
+            Model::SwOnly => (V1, V1),
+            Model::Coprocessor { .. } => (V2, V4),
+            Model::Pipeline { .. } => (V3, V5),
+            Model::Vta { p2p: false, .. } => (V6a, V7a),
+            Model::Vta { p2p: true, .. } => (V6b, V7b),
+        };
+        if self.tasks() == 1 {
+            one_task
+        } else {
+            more
+        }
+    }
+
+    /// Simulates this point in `mode`, emitting into `metrics`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task count is zero or exceeds the tile count.
+    pub(crate) fn run(
+        self,
+        mode: ModeSel,
+        metrics: app::Metrics,
+    ) -> Result<VersionResult, SimError> {
+        assert!(
+            (1..=timing::NUM_TILES).contains(&self.tasks()),
+            "1..={} software tasks",
+            timing::NUM_TILES
+        );
+        let mut run = app::Run::new(mode, metrics);
+        let (report, wait) = match self {
+            Model::SwOnly => app::sw_only(&mut run),
+            Model::Coprocessor { tasks } => app::coprocessor(&mut run, tasks),
+            Model::Pipeline { tasks, policy } => app::pipeline(&mut run, tasks, policy),
+            Model::Vta { tasks, p2p } => vta::pipeline(&mut run, tasks, p2p),
+        }?;
+        run.result(self.version(), &report, wait)
+    }
+}
+
 /// Runs one model version and returns its measurements.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures (process panics, model errors).
 pub fn run_version(version: VersionId, mode: ModeSel) -> Result<VersionResult, SimError> {
-    match version {
-        VersionId::V1 => app::run_v1(mode),
-        VersionId::V2 => app::run_v2(mode),
-        VersionId::V3 => app::run_v3(mode),
-        VersionId::V4 => app::run_v4(mode),
-        VersionId::V5 => app::run_v5(mode),
-        VersionId::V6a => vta::run_vta(mode, vta::VtaConfig::v6a(), app::Metrics::new()),
-        VersionId::V6b => vta::run_vta(mode, vta::VtaConfig::v6b(), app::Metrics::new()),
-        VersionId::V7a => vta::run_vta(mode, vta::VtaConfig::v7a(), app::Metrics::new()),
-        VersionId::V7b => vta::run_vta(mode, vta::VtaConfig::v7b(), app::Metrics::new()),
-    }
+    Model::of(version).run(mode, app::Metrics::new())
 }
 
 /// Runs a VTA scaling exploration point: `n_sw_tasks` software tasks on
 /// as many processors, with the IDWT data links on the shared bus
-/// (`p2p = false`, the 7a mapping) or on point-to-point channels
-/// (`p2p = true`, the 7b mapping). Used by the scaling ablation that
-/// backs the paper's closing claim that "7b does better scale with
-/// increasing parallelism".
+/// (`p2p = false`, the 6a/7a mapping) or on point-to-point channels
+/// (`p2p = true`, the 6b/7b mapping). One task is version 6a/6b itself,
+/// four are 7a/7b. Used by the scaling ablation that backs the paper's
+/// closing claim that "7b does better scale with increasing
+/// parallelism".
 ///
 /// # Errors
 ///
@@ -205,15 +285,11 @@ pub fn run_version(version: VersionId, mode: ModeSel) -> Result<VersionResult, S
 ///
 /// Panics if `n_sw_tasks` is zero or exceeds the tile count.
 pub fn run_scaling(mode: ModeSel, n_sw_tasks: usize, p2p: bool) -> Result<VersionResult, SimError> {
-    assert!(
-        (1..=timing::NUM_TILES).contains(&n_sw_tasks),
-        "1..=16 software tasks"
-    );
-    vta::run_vta(
-        mode,
-        vta::VtaConfig::scaling(n_sw_tasks, p2p),
-        app::Metrics::new(),
-    )
+    Model::Vta {
+        tasks: n_sw_tasks,
+        p2p,
+    }
+    .run(mode, app::Metrics::new())
 }
 
 /// Decodes the Table-1 workload with the software task's bus traffic

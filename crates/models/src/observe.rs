@@ -16,9 +16,8 @@ use osss_sim::probe::MetricsRegistry;
 use osss_sim::trace::{TraceRecord, Tracer};
 use osss_sim::{SimError, SimTime};
 
-use crate::app::{self, ArbPolicy, Metrics, PipelineModel};
-use crate::vta::{self, VtaConfig};
-use crate::{ModeSel, VersionId, VersionResult};
+use crate::app::Metrics;
+use crate::{ModeSel, Model, VersionId, VersionResult};
 
 /// One model version's result together with its observability sinks.
 #[derive(Debug, Clone)]
@@ -42,33 +41,7 @@ pub fn run_version_observed(version: VersionId, mode: ModeSel) -> Result<Observe
     let metrics = Metrics::observed();
     let tracer = metrics.tracer().expect("observed metrics").clone();
     let registry = metrics.registry().expect("observed metrics").clone();
-    let result = match version {
-        VersionId::V1 => app::run_v1_metrics(mode, metrics),
-        VersionId::V2 => app::run_sw_parallel_metrics(mode, 1, metrics),
-        VersionId::V4 => app::run_sw_parallel_metrics(mode, 4, metrics),
-        VersionId::V3 => app::run_pipeline_app(
-            mode,
-            PipelineModel {
-                n_sw_tasks: 1,
-                version: VersionId::V3,
-                policy: ArbPolicy::Fcfs,
-            },
-            metrics,
-        ),
-        VersionId::V5 => app::run_pipeline_app(
-            mode,
-            PipelineModel {
-                n_sw_tasks: 4,
-                version: VersionId::V5,
-                policy: ArbPolicy::Fcfs,
-            },
-            metrics,
-        ),
-        VersionId::V6a => vta::run_vta(mode, VtaConfig::v6a(), metrics),
-        VersionId::V6b => vta::run_vta(mode, VtaConfig::v6b(), metrics),
-        VersionId::V7a => vta::run_vta(mode, VtaConfig::v7a(), metrics),
-        VersionId::V7b => vta::run_vta(mode, VtaConfig::v7b(), metrics),
-    }?;
+    let result = Model::of(version).run(mode, metrics)?;
     Ok(ObservedRun {
         result,
         tracer,

@@ -1,7 +1,7 @@
 //! Virtual-Target-Architecture model versions 6a, 6b, 7a and 7b.
 //!
 //! The pipelined Application-Layer structure (versions 3 and 5) is mapped
-//! onto architecture resources:
+//! onto architecture resources by re-binding its blocks' ports:
 //!
 //! * software tasks → [`SoftwareProcessor`]s (one per task),
 //! * the HW/SW shared object behind the **OPB bus** via RMI — tile
@@ -14,274 +14,109 @@
 
 use std::sync::{Arc, Mutex};
 
-use jpeg2000::codec::{StagedDecoder, TileSamples, TileWavelet};
+use jpeg2000::codec::{StagedDecoder, TileSamples};
 use osss_core::{sched::Fcfs, SharedObject, SwTask};
-use osss_sim::{lock_unpoisoned, SimError, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, SimError, SimReport, SimTime, Simulation};
 use osss_vta::{
     BusConfig, Channel, ChannelStats, FaultConfig, FaultStats, FaultyChannel, OpbBus, P2pChannel,
-    ReliableRmi, RetryPolicy, RmiError, RmiService, RmiStats, Serialise, SoftwareProcessor,
-    XilinxBlockRam,
+    ReliableRmi, RetryPolicy, RmiError, RmiService, RmiStats, SoftwareProcessor, XilinxBlockRam,
 };
 
-use crate::app::{finish, HwSwState, Metrics, Outputs, ParamsState};
-use crate::timing::{
-    hw_idwt_time, hw_iq_time, platform_clock, sw_stage_times, vta_idwt_mem_accesses,
-    FILTER_CMD_WORDS, NUM_TILES, PARAM_WORDS, TILE_WORDS,
-};
-use crate::workload::workload;
-use crate::{ModeSel, VersionId, VersionResult};
+use crate::app::{HwSwState, Layer, Metrics, ParamsState, Port, Run, Words};
+use crate::timing::{platform_clock, sw_stage_times, NUM_TILES, TILE_WORDS};
+use crate::ModeSel;
 
-/// A payload whose only role is its serialised size in words — RMI costs
-/// depend on the declared interface width, and moving real megabytes
-/// through the byte buffers would change nothing but heat.
-struct Words(usize);
+/// The architecture resources the pipelined structure is mapped onto.
+struct Platform {
+    bus: Arc<dyn Channel>,
+    hwsw: SharedObject<HwSwState>,
+    params: SharedObject<ParamsState>,
+    bram: XilinxBlockRam<i16>,
+    /// The IDWT blocks' link to the HW/SW object: the bus itself, or a
+    /// dedicated point-to-point channel.
+    data_link: Arc<dyn Channel>,
+    /// The params object always sits behind point-to-point links.
+    params_link: Arc<dyn Channel>,
+    /// One processor per software task.
+    cpus: Vec<SoftwareProcessor>,
+}
 
-impl Serialise for Words {
-    fn serialised_bytes(&self) -> usize {
-        self.0 * 4
+impl Platform {
+    fn new(sim: &mut Simulation, n_cpus: usize, p2p: bool) -> Self {
+        let clk = platform_clock();
+        let bus: Arc<dyn Channel> = Arc::new(OpbBus::new(sim, "opb", BusConfig::opb_100mhz()));
+        let hwsw = SharedObject::new(sim, "hwsw_so", HwSwState::new(2), Fcfs::new());
+        let params = SharedObject::new(sim, "idwt_params_so", ParamsState::default(), Fcfs::new());
+        let bram = XilinxBlockRam::<i16>::new(sim, "tile_bram", 2 * 65_536, clk);
+        let data_link: Arc<dyn Channel> = if p2p {
+            Arc::new(P2pChannel::new(sim, "link_idwt_data", clk))
+        } else {
+            Arc::clone(&bus)
+        };
+        let params_link: Arc<dyn Channel> = Arc::new(P2pChannel::new(sim, "link_idwt_params", clk));
+        let cpus = (0..n_cpus)
+            .map(|k| SoftwareProcessor::new(sim, &format!("ppc405_{k}"), clk))
+            .collect();
+        Platform {
+            bus,
+            hwsw,
+            params,
+            bram,
+            data_link,
+            params_link,
+            cpus,
+        }
     }
-    fn write(&self, out: &mut Vec<u8>) {
-        out.resize(out.len() + self.serialised_bytes(), 0);
+
+    /// Binds the IDWT2D and filter blocks: RMI to the HW/SW object over
+    /// the data link and to the params object over its own link, tile
+    /// storage in block RAM.
+    fn spawn_idwt_blocks(&self, run: &mut Run) {
+        run.spawn_idwt_blocks(
+            Port::Rmi(RmiService::new(
+                self.hwsw.clone(),
+                Arc::clone(&self.data_link),
+            )),
+            Port::Rmi(RmiService::new(
+                self.params.clone(),
+                Arc::clone(&self.params_link),
+            )),
+            Layer::Vta(self.bram.clone()),
+        );
     }
 }
 
-/// Architecture choices distinguishing the four VTA models.
-pub(crate) struct VtaConfig {
-    n_sw_tasks: usize,
-    filter_links_p2p: bool,
-    version: VersionId,
-}
-
-impl VtaConfig {
-    /// An exploration point for the scaling ablation: `n` software tasks
-    /// on `n` processors, filter links on the bus or on P2P channels.
-    pub(crate) fn scaling(n: usize, p2p: bool) -> Self {
-        VtaConfig {
-            n_sw_tasks: n,
-            filter_links_p2p: p2p,
-            version: if p2p { VersionId::V7b } else { VersionId::V7a },
+/// Versions 6a–7b: `tasks` software tasks, each on its own processor
+/// (the paper's version 7 has "three more processors" competing for the
+/// bus), reach the HW/SW object over the OPB; the IDWT data links sit on
+/// the bus too, or on point-to-point channels when `p2p`.
+pub(crate) fn pipeline(
+    run: &mut Run,
+    tasks: usize,
+    p2p: bool,
+) -> Result<(SimReport, SimTime), SimError> {
+    let vta = Platform::new(&mut run.sim, tasks, p2p);
+    let sw = Port::Rmi(RmiService::new(vta.hwsw.clone(), Arc::clone(&vta.bus)));
+    for (k, cpu) in vta.cpus.iter().enumerate() {
+        run.spawn_sw_task(k, tasks, Some(cpu), sw.clone());
+    }
+    vta.spawn_idwt_blocks(run);
+    let report = run.simulate()?;
+    if let Some(reg) = run.metrics.registry() {
+        vta.bus.stats().export_to(reg, "vta.opb");
+        if p2p {
+            vta.data_link.stats().export_to(reg, "vta.link_idwt_data");
         }
-    }
-
-    pub(crate) fn v6a() -> Self {
-        VtaConfig {
-            n_sw_tasks: 1,
-            filter_links_p2p: false,
-            version: VersionId::V6a,
-        }
-    }
-    pub(crate) fn v6b() -> Self {
-        VtaConfig {
-            n_sw_tasks: 1,
-            filter_links_p2p: true,
-            version: VersionId::V6b,
-        }
-    }
-    pub(crate) fn v7a() -> Self {
-        VtaConfig {
-            n_sw_tasks: 4,
-            filter_links_p2p: false,
-            version: VersionId::V7a,
-        }
-    }
-    pub(crate) fn v7b() -> Self {
-        VtaConfig {
-            n_sw_tasks: 4,
-            filter_links_p2p: true,
-            version: VersionId::V7b,
-        }
-    }
-}
-
-pub(crate) fn run_vta(
-    mode: ModeSel,
-    cfg: VtaConfig,
-    metrics: Metrics,
-) -> Result<VersionResult, SimError> {
-    let w = workload(mode);
-    let t = sw_stage_times(mode);
-    let (hw_iq, hw_idwt) = (hw_iq_time(mode), hw_idwt_time(mode));
-    let clk = platform_clock();
-    let mut sim = Simulation::new();
-    if metrics.is_observed() {
-        sim.enable_sched_probe();
-    }
-    let outputs = Outputs::new(NUM_TILES);
-
-    // Architecture resources.
-    let bus = Arc::new(OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz()));
-    let hwsw = SharedObject::new(&mut sim, "hwsw_so", HwSwState::new(2), Fcfs::new());
-    let params = SharedObject::new(
-        &mut sim,
-        "idwt_params_so",
-        ParamsState::default(),
-        Fcfs::new(),
-    );
-    let bram = XilinxBlockRam::<i16>::new(&mut sim, "tile_bram", 2 * 65_536, clk);
-
-    // RMI bindings. Software side always crosses the OPB bus.
-    let sw_rmi = RmiService::new(hwsw.clone(), Arc::clone(&bus) as Arc<dyn Channel>);
-    // IDWT blocks: bus in the *a* variants, dedicated links in *b*.
-    let filter_channel: Arc<dyn Channel> = if cfg.filter_links_p2p {
-        Arc::new(P2pChannel::new(&mut sim, "link_idwt_data", clk))
-    } else {
-        Arc::clone(&bus) as Arc<dyn Channel>
-    };
-    let filter_rmi = RmiService::new(hwsw.clone(), Arc::clone(&filter_channel));
-    // Params object always sits behind point-to-point links.
-    let params_link = Arc::new(P2pChannel::new(&mut sim, "link_idwt_params", clk));
-    let params_rmi = RmiService::new(params.clone(), Arc::clone(&params_link) as Arc<dyn Channel>);
-
-    // Software tasks, each mapped onto its own processor (the paper's
-    // version 7 has "three more processors" competing for the bus).
-    let mut cpus = Vec::with_capacity(cfg.n_sw_tasks);
-    for k in 0..cfg.n_sw_tasks {
-        let cpu = SoftwareProcessor::new(&mut sim, &format!("ppc405_{k}"), clk);
-        let dec = Arc::clone(&w.decoder);
-        let o2 = outputs.clone();
-        let m2 = metrics.clone();
-        let rmi = sw_rmi.clone();
-        let n = cfg.n_sw_tasks;
-        let env = cpu.env(&format!("sw_task{k}"));
-        cpus.push(cpu);
-        SwTask::spawn_with_env(&mut sim, &format!("sw_task{k}"), env, move |env, ctx| {
-            for i in (k..NUM_TILES).step_by(n) {
-                let coeffs = env.eet(ctx, t.arith, || {
-                    dec.entropy_decode_tile(i).expect("entropy decode")
-                })?;
-                // Serialised tile transfer over the bus, then the guarded
-                // store into the object's bounded buffer.
-                rmi.invoke_guarded(
-                    ctx,
-                    &Words(TILE_WORDS),
-                    &Words(0),
-                    |s| s.pending.len() < s.capacity,
-                    |s, _| {
-                        s.pending.push_back((i, coeffs));
-                        Ok(())
-                    },
-                )?;
-                m2.credit(ctx.now(), -1);
-            }
-            for i in (k..NUM_TILES).step_by(n) {
-                let samples = rmi.invoke_guarded(
-                    ctx,
-                    &Words(1),
-                    &Words(TILE_WORDS),
-                    move |s| s.results.contains_key(&i),
-                    move |s, _| Ok(s.results.remove(&i).expect("guard held")),
-                )?;
-                m2.credit(ctx.now(), 1);
-                let samples = env.eet(ctx, t.ict, || dec.inverse_mct_tile(samples))?;
-                let samples = env.eet(ctx, t.dc, || dec.dc_unshift_tile(samples))?;
-                o2.place(i, samples);
-                m2.tile_done(ctx.now());
-            }
-            Ok(())
-        });
-    }
-
-    // IDWT2D control block.
-    {
-        let dec = Arc::clone(&w.decoder);
-        let ctrl_rmi = filter_rmi.clone();
-        let params_rmi = params_rmi.clone();
-        let m2 = metrics.clone();
-        sim.spawn_process("idwt2d_ctrl", move |ctx| loop {
-            let i = ctrl_rmi.invoke_guarded(
-                ctx,
-                &Words(FILTER_CMD_WORDS),
-                &Words(FILTER_CMD_WORDS),
-                |s| !s.pending.is_empty(),
-                |s, ctx| {
-                    let (i, coeffs) = s.pending.pop_front().expect("guard held");
-                    let wavelet = dec.dequantize_tile(&coeffs);
-                    ctx.wait(hw_iq)?;
-                    s.wavelets.insert(i, wavelet);
-                    Ok(i)
-                },
-            )?;
-            let t0 = ctx.now();
-            params_rmi.invoke(ctx, &Words(PARAM_WORDS), &Words(0), |p, _| {
-                p.request = Some(i);
-                Ok(())
-            })?;
-            params_rmi.invoke_guarded(
-                ctx,
-                &Words(PARAM_WORDS),
-                &Words(PARAM_WORDS),
-                move |p| p.response == Some(i),
-                |p, _| {
-                    p.response = None;
-                    Ok(())
-                },
-            )?;
-            m2.idwt_span(t0, ctx.now());
-        });
-    }
-
-    // Filter blocks with explicit-memory traffic.
-    let (mem_reads, mem_writes) = vta_idwt_mem_accesses(mode);
-    for (name, serves) in [("idwt53", ModeSel::Lossless), ("idwt97", ModeSel::Lossy)] {
-        let dec = Arc::clone(&w.decoder);
-        let filter_rmi = filter_rmi.clone();
-        let params_rmi = params_rmi.clone();
-        let bram = bram.clone();
-        let active = serves == mode;
-        sim.spawn_process(name, move |ctx| loop {
-            if !active {
-                return Ok(());
-            }
-            let i = params_rmi.invoke_guarded(
-                ctx,
-                &Words(PARAM_WORDS),
-                &Words(PARAM_WORDS),
-                |p| p.request.is_some(),
-                |p, _| Ok(p.request.take().expect("guard held")),
-            )?;
-            let wavelet: TileWavelet = filter_rmi.invoke_guarded(
-                ctx,
-                &Words(FILTER_CMD_WORDS),
-                &Words(FILTER_CMD_WORDS),
-                move |s| s.wavelets.contains_key(&i),
-                move |s, _| Ok(s.wavelets.remove(&i).expect("guard held")),
-            )?;
-            // The transform: every lifting pass streams the tile through
-            // the object's block RAM, plus the datapath time itself.
-            let samples: TileSamples = {
-                let out = dec.idwt_tile(wavelet);
-                bram.charge_burst(ctx, mem_reads, mem_writes)?;
-                ctx.wait(hw_idwt)?;
-                out
-            };
-            filter_rmi.invoke(ctx, &Words(FILTER_CMD_WORDS), &Words(0), move |s, _| {
-                s.results.insert(i, samples);
-                Ok(())
-            })?;
-            params_rmi.invoke(ctx, &Words(PARAM_WORDS), &Words(0), |p, _| {
-                p.response = Some(i);
-                Ok(())
-            })?;
-        });
-    }
-
-    let report = sim.run()?;
-    crate::app::export_sched(&sim, &metrics);
-    if let Some(reg) = metrics.registry() {
-        bus.stats().export_to(reg, "vta.opb");
-        if cfg.filter_links_p2p {
-            filter_channel.stats().export_to(reg, "vta.link_idwt_data");
-        }
-        params_link.stats().export_to(reg, "vta.link_idwt_params");
-        bram.stats().export_to(reg, "vta.tile_bram");
-        for (k, cpu) in cpus.iter().enumerate() {
+        vta.params_link
+            .stats()
+            .export_to(reg, "vta.link_idwt_params");
+        vta.bram.stats().export_to(reg, "vta.tile_bram");
+        for (k, cpu) in vta.cpus.iter().enumerate() {
             cpu.stats().export_to(reg, &format!("vta.ppc405_{k}"));
         }
     }
-    let mut so_stats = hwsw.stats();
-    so_stats.merge(&params.stats());
-    let wait = so_stats.total_arbitration_wait;
-    finish(cfg.version, mode, &w, &report, &metrics, &outputs, wait)
+    let wait = vta.hwsw.stats().total_arbitration_wait + vta.params.stats().total_arbitration_wait;
+    Ok((report, wait))
 }
 
 /// The outcome of decoding the Table-1 workload over a faulty transport.
@@ -347,50 +182,28 @@ fn mid_gray_tile(dec: &StagedDecoder, i: usize) -> TileSamples {
     dec.dc_unshift_tile(samples)
 }
 
-/// Decodes the Table-1 workload with the software task's OPB traffic
-/// routed through a [`FaultyChannel`] and the reliable-RMI protocol.
+/// Decodes the Table-1 workload on the 6b mapping with one software
+/// task, whose OPB traffic is routed through a [`FaultyChannel`] and the
+/// reliable-RMI protocol.
 ///
-/// One software task pushes all 16 entropy-decoded tiles into the HW/SW
-/// shared object over the faulty bus and picks the transformed tiles
-/// back up; the IDWT pipeline keeps its clean point-to-point links.
-/// A tile whose push or pickup exhausts the retry budget is rendered
-/// mid-gray ([`mid_gray_tile`]) — the simulation itself never fails on
-/// transport faults.
+/// The task pushes all 16 entropy-decoded tiles into the HW/SW shared
+/// object over the faulty bus and picks the transformed tiles back up;
+/// the IDWT blocks keep their clean point-to-point links and are
+/// oblivious to the faults. A tile whose push or pickup exhausts the
+/// retry budget is rendered mid-gray ([`mid_gray_tile`]) — the
+/// simulation itself never fails on transport faults.
 pub(crate) fn run_fault_vta(
     mode: ModeSel,
     fault: FaultConfig,
     policy: RetryPolicy,
 ) -> Result<FaultRunResult, SimError> {
-    let w = workload(mode);
+    let mut run = Run::new(mode, Metrics::new());
     let t = sw_stage_times(mode);
-    let (hw_iq, hw_idwt) = (hw_iq_time(mode), hw_idwt_time(mode));
-    let clk = platform_clock();
-    let mut sim = Simulation::new();
-    let outputs = Outputs::new(NUM_TILES);
-
-    // Architecture resources: the OPB bus decorated with the fault
-    // process; the IDWT data and params links stay clean P2P.
-    let bus = Arc::new(OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz()));
-    let faulty = Arc::new(FaultyChannel::new(bus as Arc<dyn Channel>, fault));
-    let hwsw = SharedObject::new(&mut sim, "hwsw_so", HwSwState::new(2), Fcfs::new());
-    let params = SharedObject::new(
-        &mut sim,
-        "idwt_params_so",
-        ParamsState::default(),
-        Fcfs::new(),
-    );
-    let bram = XilinxBlockRam::<i16>::new(&mut sim, "tile_bram", 2 * 65_536, clk);
-
+    let vta = Platform::new(&mut run.sim, 1, true);
+    let faulty = Arc::new(FaultyChannel::new(Arc::clone(&vta.bus), fault));
     let sw_rmi = ReliableRmi::new(
-        RmiService::new(hwsw.clone(), Arc::clone(&faulty) as Arc<dyn Channel>),
+        RmiService::new(vta.hwsw.clone(), Arc::clone(&faulty) as Arc<dyn Channel>),
         policy,
-    );
-    let filter_channel: Arc<dyn Channel> =
-        Arc::new(P2pChannel::new(&mut sim, "link_idwt_data", clk));
-    let filter_rmi = RmiService::new(hwsw.clone(), Arc::clone(&filter_channel));
-    let params_rmi = RmiService::new(
-        params.clone(),
-        Arc::new(P2pChannel::new(&mut sim, "link_idwt_params", clk)) as Arc<dyn Channel>,
     );
 
     let recovered = Arc::new(Mutex::new(0usize));
@@ -399,14 +212,13 @@ pub(crate) fn run_fault_vta(
     // The software task: one task, so retry accounting attributes to
     // tiles exactly (invocations are sequential).
     {
-        let cpu = SoftwareProcessor::new(&mut sim, "ppc405_0", clk);
-        let dec = Arc::clone(&w.decoder);
-        let o2 = outputs.clone();
+        let dec = Arc::clone(&run.w.decoder);
+        let o2 = run.outputs.clone();
         let rmi = sw_rmi.clone();
-        let env = cpu.env("sw_task0");
+        let env = vta.cpus[0].env("sw_task0");
         let recovered = Arc::clone(&recovered);
         let degraded = Arc::clone(&degraded);
-        SwTask::spawn_with_env(&mut sim, "sw_task0", env, move |env, ctx| {
+        SwTask::spawn_with_env(&mut run.sim, "sw_task0", env, move |env, ctx| {
             let mut pushed = Vec::with_capacity(NUM_TILES);
             for i in 0..NUM_TILES {
                 let coeffs = env.eet(ctx, t.arith, || {
@@ -464,92 +276,17 @@ pub(crate) fn run_fault_vta(
             Ok(())
         });
     }
+    vta.spawn_idwt_blocks(&mut run);
 
-    // IDWT2D control block and filter blocks: identical to `run_vta` —
-    // the pipeline is oblivious to the software side's faulty transport.
-    {
-        let dec = Arc::clone(&w.decoder);
-        let ctrl_rmi = filter_rmi.clone();
-        let params_rmi = params_rmi.clone();
-        sim.spawn_process("idwt2d_ctrl", move |ctx| loop {
-            let i = ctrl_rmi.invoke_guarded(
-                ctx,
-                &Words(FILTER_CMD_WORDS),
-                &Words(FILTER_CMD_WORDS),
-                |s| !s.pending.is_empty(),
-                |s, ctx| {
-                    let (i, coeffs) = s.pending.pop_front().expect("guard held");
-                    let wavelet = dec.dequantize_tile(&coeffs);
-                    ctx.wait(hw_iq)?;
-                    s.wavelets.insert(i, wavelet);
-                    Ok(i)
-                },
-            )?;
-            params_rmi.invoke(ctx, &Words(PARAM_WORDS), &Words(0), |p, _| {
-                p.request = Some(i);
-                Ok(())
-            })?;
-            params_rmi.invoke_guarded(
-                ctx,
-                &Words(PARAM_WORDS),
-                &Words(PARAM_WORDS),
-                move |p| p.response == Some(i),
-                |p, _| {
-                    p.response = None;
-                    Ok(())
-                },
-            )?;
-        });
-    }
-    let (mem_reads, mem_writes) = vta_idwt_mem_accesses(mode);
-    for (name, serves) in [("idwt53", ModeSel::Lossless), ("idwt97", ModeSel::Lossy)] {
-        let dec = Arc::clone(&w.decoder);
-        let filter_rmi = filter_rmi.clone();
-        let params_rmi = params_rmi.clone();
-        let bram = bram.clone();
-        let active = serves == mode;
-        sim.spawn_process(name, move |ctx| loop {
-            if !active {
-                return Ok(());
-            }
-            let i = params_rmi.invoke_guarded(
-                ctx,
-                &Words(PARAM_WORDS),
-                &Words(PARAM_WORDS),
-                |p| p.request.is_some(),
-                |p, _| Ok(p.request.take().expect("guard held")),
-            )?;
-            let wavelet: TileWavelet = filter_rmi.invoke_guarded(
-                ctx,
-                &Words(FILTER_CMD_WORDS),
-                &Words(FILTER_CMD_WORDS),
-                move |s| s.wavelets.contains_key(&i),
-                move |s, _| Ok(s.wavelets.remove(&i).expect("guard held")),
-            )?;
-            let samples: TileSamples = {
-                let out = dec.idwt_tile(wavelet);
-                bram.charge_burst(ctx, mem_reads, mem_writes)?;
-                ctx.wait(hw_idwt)?;
-                out
-            };
-            filter_rmi.invoke(ctx, &Words(FILTER_CMD_WORDS), &Words(0), move |s, _| {
-                s.results.insert(i, samples);
-                Ok(())
-            })?;
-            params_rmi.invoke(ctx, &Words(PARAM_WORDS), &Words(0), |p, _| {
-                p.response = Some(i);
-                Ok(())
-            })?;
-        });
-    }
-
-    let report = sim.run()?;
+    let report = run.simulate()?;
     let degraded = {
         let mut d = lock_unpoisoned(&degraded).clone();
         d.sort_unstable();
         d
     };
-    let assembled = outputs
+    let w = &run.w;
+    let assembled = run
+        .outputs
         .assemble(&w.decoder)
         .ok_or_else(|| SimError::model("fault run: missing decoded tiles".to_string()))?;
     let bit_exact = degraded.is_empty() && assembled == *w.reference;
@@ -562,7 +299,7 @@ pub(crate) fn run_fault_vta(
     }
     let image_ok = assembled == expected;
     let mut transport = faulty.stats();
-    transport.merge(&filter_channel.stats());
+    transport.merge(&vta.data_link.stats());
     let tiles_recovered = *lock_unpoisoned(&recovered);
     Ok(FaultRunResult {
         mode,
@@ -582,7 +319,7 @@ pub(crate) fn run_fault_vta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_version;
+    use crate::{run_version, VersionId};
     use osss_sim::SimTime;
 
     fn ms(t: SimTime) -> f64 {
