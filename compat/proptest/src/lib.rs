@@ -10,6 +10,8 @@
 //! Supported strategies: integer/float ranges, `any::<T>()`,
 //! `collection::vec(strategy, size)`, and tuples up to arity 4.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -8,6 +8,8 @@
 //! upstream `StdRng` (ChaCha12), so seeds don't reproduce upstream
 //! sequences — no test in this workspace depends on those.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs {
     /// Deterministic xoshiro256** generator.
     #[derive(Clone, Debug)]

@@ -23,6 +23,8 @@
 //! `jpeg2000-models` binaries instead (`table1_simulation`,
 //! `table2_synthesis`, `figure1_profile`).
 
+#![forbid(unsafe_code)]
+
 use jpeg2000::codec::{encode, EncodeParams, Mode};
 use jpeg2000::image::Image;
 use std::hint::black_box;

@@ -44,6 +44,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod eet;
 pub mod sched;
 mod shared;

@@ -36,6 +36,8 @@
 //! assert!(report.luts > 0 && report.fmax_mhz > 50.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod emit;
 pub mod estimate;

@@ -476,10 +476,14 @@ fn pump(shared: &Shared, stream: u64, conn: u64, src: &TcpStream, dst: &TcpStrea
             let len = want.min(remaining);
             let chunk = &mut buf[off..off + len];
             let mut corrupted = 0u64;
-            for (i, byte) in chunk.iter_mut().enumerate() {
-                if let Some(mask) = cfg.corrupts_byte(stream, conn, pos + i as u64) {
-                    *byte ^= mask;
-                    corrupted += 1;
+            // `unit()` lies in [0, 1), so at a rate of zero or less no
+            // byte can be corrupted: skip hashing every one of them.
+            if cfg.corrupt_rate > 0.0 {
+                for (i, byte) in chunk.iter_mut().enumerate() {
+                    if let Some(mask) = cfg.corrupts_byte(stream, conn, pos + i as u64) {
+                        *byte ^= mask;
+                        corrupted += 1;
+                    }
                 }
             }
             if (&mut (&*dst)).write_all(chunk).is_err() {

@@ -60,6 +60,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod codec;
 pub mod codestream;

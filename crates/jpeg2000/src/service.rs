@@ -335,9 +335,11 @@ impl Ticket {
 
 /// Content identity of a codestream: length plus two independent
 /// FNV-1a-style hashes (different multipliers), computed in one pass.
-/// A single 64-bit hash keyed from attacker-controlled bytes is too
-/// easy to collide for a cache that returns *images* — a collision
-/// would serve the wrong picture — so the key is 160 bits wide.
+/// A collision would serve the wrong picture from a cache that returns
+/// *images*, so the key is 160 bits wide, which makes an *accidental*
+/// collision negligible. It does not stop a crafted one: both
+/// multipliers are public and nothing is keyed, so an attacker can
+/// search for colliding streams offline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StreamKey {
     len: usize,

@@ -33,6 +33,8 @@
 //! println!("v1 decodes 16 tiles in {}", r.decode_time);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod app;
 pub use app::{
     run_hw_sw_parallel, run_sw_parallel, run_v5_with_policy, sw_scaling_curve, ArbPolicy,

@@ -39,6 +39,10 @@
 //! # }
 //! ```
 
+// The one exception is `checksum::crc32`'s call into its carry-less
+// fold, made only after the CPU features it needs are detected.
+#![deny(unsafe_code)]
+
 pub mod checksum;
 mod context;
 mod error;

@@ -47,6 +47,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bus;
 mod channel;
 mod fault;

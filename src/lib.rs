@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fossy;
 pub use jpeg2000;
 pub use jpeg2000_models as models;
