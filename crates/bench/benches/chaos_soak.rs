@@ -34,8 +34,9 @@ const SEED: u64 = 0x50AB_5EED;
 
 /// Minimum clean-proxy goodput as a share of direct goodput. Both run
 /// in one process on one host, so the ratio holds on any machine; a
-/// proxy that stalls on Nagle reads 0.01-0.1.
-const MIN_CLEAN_VS_DIRECT: f64 = 0.25;
+/// proxy that stalls on Nagle reads 0.01-0.1, and full runs on a
+/// 2-vCPU x86-64 VM read 0.68-0.97.
+const MIN_CLEAN_VS_DIRECT: f64 = 0.5;
 
 struct RunResult {
     ok: u64,

@@ -32,6 +32,7 @@
 //! exactly how much damage the stack absorbed. See `tests/chaos.rs` for
 //! the invariants the decode stack must uphold under any schedule.
 
+use crate::net::Deadline;
 use osss_sim::lock_unpoisoned;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,6 +53,9 @@ const KIND_FLIP: u64 = 0x464C4950_464C4950; // byte corruption
 const KIND_FLIP_MASK: u64 = 0x464C4950_4D41534B; // corruption mask
 const KIND_DROP: u64 = 0x44524F50_44524F50; // connection drop
 const KIND_HOLE: u64 = 0x484F4C45_484F4C45; // connection blackhole
+
+/// How often a pump thread blocked on a read rechecks the shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// splitmix64-style finaliser over `(seed, stream, connection, n)`:
 /// the deterministic noise source behind every proxy decision.
@@ -100,9 +104,6 @@ pub struct ChaosConfig {
     /// Probability (per connection) that the connection is a blackhole:
     /// accepted, but every byte swallowed and nothing ever answered.
     pub blackhole_rate: f64,
-    /// Poll granularity of the pump threads (shutdown responsiveness;
-    /// not a fault knob).
-    pub poll_interval: Duration,
 }
 
 impl ChaosConfig {
@@ -118,7 +119,6 @@ impl ChaosConfig {
             corrupt_rate: 0.0,
             drop_rate: 0.0,
             blackhole_rate: 0.0,
-            poll_interval: Duration::from_millis(20),
         }
     }
 
@@ -397,21 +397,9 @@ fn spawn_pump(shared: &Arc<Shared>, name: &str, body: impl FnOnce(&Shared) + Sen
 /// Swallows a blackholed connection: reads and discards until the peer
 /// gives up or the proxy shuts down. Nothing is ever written back.
 fn blackhole(shared: &Shared, client: &TcpStream) {
-    let _ = client.set_read_timeout(Some(shared.config.poll_interval));
-    let mut sink = [0u8; 4096];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = client.shutdown(Shutdown::Both);
-            return;
-        }
-        match (&mut (&*client)).read(&mut sink) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+    let mut swallow = Deadline::new(client, None).or_shutdown(&shared.shutdown, POLL_INTERVAL);
+    let _ = io::copy(&mut swallow, &mut io::sink());
+    let _ = client.shutdown(Shutdown::Both);
 }
 
 /// Relays one direction of one connection under the fault schedule.
@@ -424,18 +412,13 @@ fn pump(shared: &Shared, stream: u64, conn: u64, src: &TcpStream, dst: &TcpStrea
     } else {
         &shared.downstream
     };
-    let _ = src.set_read_timeout(Some(cfg.poll_interval));
+    let mut reader = Deadline::new(src, None).or_shutdown(&shared.shutdown, POLL_INTERVAL);
     // A peer that stops reading must not pin the pump forever.
     let _ = dst.set_write_timeout(Some(Duration::from_secs(1)));
     let mut pos = 0u64;
     let mut buf = [0u8; 8192];
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = src.shutdown(Shutdown::Both);
-            let _ = dst.shutdown(Shutdown::Both);
-            return;
-        }
-        let n = match (&mut (&*src)).read(&mut buf) {
+        let n = match reader.read(&mut buf) {
             // Clean EOF: propagate the half-close and stop this
             // direction (the opposite pump keeps running).
             Ok(0) => {
@@ -443,9 +426,9 @@ fn pump(shared: &Shared, stream: u64, conn: u64, src: &TcpStream, dst: &TcpStrea
                 return;
             }
             Ok(n) => n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // Shutdown or a failed source: tear both sides down.
             Err(_) => {
+                let _ = src.shutdown(Shutdown::Both);
                 let _ = dst.shutdown(Shutdown::Both);
                 return;
             }

@@ -37,13 +37,26 @@
 //! taxonomy ([`NetError`]): retryable-busy (backpressure), expired
 //! (deadline), protocol error, decode failure, refused (shutdown),
 //! internal.
+//!
+//! ## Client
+//!
+//! [`Client::request`] is the one request path: one frame out, one
+//! frame back, bounded by [`Client::op_deadline`] when set. The
+//! client's reads and writes, the server's reads and the chaos proxy's
+//! relays all wait through one crate-private deadline adapter, which
+//! races an absolute deadline and, optionally, a shutdown flag. After a
+//! transport failure the client retires its socket, so a late reply is
+//! never read as the answer to the next request. [`Client::decode_retry`]
+//! and [`Client::decode_retry_guarded`] share one retry loop; the second
+//! adds a [`CircuitBreaker`].
 
 use crate::codec::{DecodeReport, DecodeStage};
 use crate::image::{Image, Plane};
 use crate::service::{Request, RequestKind, ServedFrom, ServiceError};
 use osss_sim::checksum::crc32;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Frame magic: `"J2KD"`.
@@ -161,7 +174,8 @@ pub enum NetError {
     },
     /// The client-side operation deadline elapsed before a complete
     /// reply arrived ([`Client::op_deadline`]) — the server (or the
-    /// path to it) stalled mid-frame.
+    /// path to it) stalled mid-frame. Converting a [`WireError::Io`] of
+    /// kind `TimedOut` yields this variant.
     Timeout,
     /// The client's [`CircuitBreaker`] is open: recent transport
     /// failures tripped it and the cooldown has not elapsed, so the
@@ -192,13 +206,16 @@ impl std::error::Error for NetError {}
 
 impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
-        NetError::Wire(e)
+        match e {
+            WireError::Io(e) if e.kind() == io::ErrorKind::TimedOut => NetError::Timeout,
+            e => NetError::Wire(e),
+        }
     }
 }
 
 impl From<io::Error> for NetError {
     fn from(e: io::Error) -> Self {
-        NetError::Wire(WireError::from(e))
+        WireError::from(e).into()
     }
 }
 
@@ -948,110 +965,116 @@ impl CircuitBreaker {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-aware stream
+// Deadline-bounded socket I/O
 // ---------------------------------------------------------------------------
 
-/// Wraps a [`TcpStream`] so every read/write races one absolute
-/// deadline: before each syscall the remaining budget is recomputed
-/// and installed as the socket timeout, so a peer trickling one byte
-/// per timeout window cannot extend the operation past the deadline
-/// (each partial read shrinks the next window instead of resetting
-/// it).
-struct DeadlineStream<'a> {
+/// A borrowed [`TcpStream`] whose every read, peek and write races one
+/// absolute deadline and, once [`Self::or_shutdown`] gave it one, a
+/// shutdown flag.
+///
+/// Before each syscall the time left, capped at the poll interval when
+/// a flag is watched, becomes the socket timeout. A peer trickling one
+/// byte per window therefore cannot stretch the operation past the
+/// deadline: partial progress shrinks the next window instead of
+/// resetting it. Socket wake-ups (`WouldBlock`, `TimedOut`) and
+/// `Interrupted` are retried; the deadline surfaces as
+/// `ErrorKind::TimedOut` and a raised flag as
+/// `ErrorKind::ConnectionAborted`. With neither bound no timeout is
+/// installed, and each call is the bare syscall.
+///
+/// The client bounds each request by its [`Client::op_deadline`]. The
+/// server bounds the wait for a frame by its idle timeout and the frame
+/// itself by its frame deadline, both watching its shutdown flag. The
+/// chaos proxy's relays watch only their shutdown flag.
+pub(crate) struct Deadline<'a> {
     stream: &'a TcpStream,
-    deadline: Instant,
+    at: Option<Instant>,
+    shutdown: Option<(&'a AtomicBool, Duration)>,
 }
 
-impl DeadlineStream<'_> {
-    fn remaining(&self) -> io::Result<Duration> {
-        let now = Instant::now();
-        if now >= self.deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "client operation deadline elapsed",
-            ));
+impl<'a> Deadline<'a> {
+    /// Bounds I/O on `stream` by `at` (`None`: no deadline).
+    pub(crate) fn new(stream: &'a TcpStream, at: Option<Instant>) -> Self {
+        Deadline {
+            stream,
+            at,
+            shutdown: None,
         }
-        Ok(self.deadline - now)
+    }
+
+    /// Also fails once `flag` is raised, re-checked at least every
+    /// `poll`.
+    pub(crate) fn or_shutdown(self, flag: &'a AtomicBool, poll: Duration) -> Self {
+        Deadline {
+            shutdown: Some((flag, poll)),
+            ..self
+        }
+    }
+
+    /// [`TcpStream::peek`] under the same bounds as a read.
+    pub(crate) fn peek(&self, buf: &mut [u8]) -> io::Result<usize> {
+        self.run(TcpStream::set_read_timeout, |s| s.peek(buf))
+    }
+
+    /// Runs one syscall `op` until it completes, installing the time
+    /// left with `set` before each try.
+    fn run<T>(
+        &self,
+        set: fn(&TcpStream, Option<Duration>) -> io::Result<()>,
+        mut op: impl FnMut(&TcpStream) -> io::Result<T>,
+    ) -> io::Result<T> {
+        loop {
+            let poll = match self.shutdown {
+                Some((flag, _)) if flag.load(Ordering::SeqCst) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        "shutting down",
+                    ));
+                }
+                shutdown => shutdown.map(|(_, poll)| poll),
+            };
+            let left = self
+                .at
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline elapsed"));
+            }
+            let window = left.into_iter().chain(poll).min();
+            if window.is_some() {
+                set(self.stream, window)?;
+            }
+            match op(self.stream) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                done => return done,
+            }
+        }
     }
 }
 
-impl Read for DeadlineStream<'_> {
+impl Read for Deadline<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            self.stream.set_read_timeout(Some(self.remaining()?))?;
-            match (&mut (&*self.stream)).read(buf) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // A timeout below the full remaining window (platforms
-                // may wake early) is re-checked against the deadline.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
+        self.run(TcpStream::set_read_timeout, |mut s| s.read(buf))
     }
 }
 
-impl DeadlineStream<'_> {
-    /// Runs one write syscall `op` under the remaining budget, retrying
-    /// interrupts and early timeout wake-ups until the deadline.
-    fn write_with(
-        &mut self,
-        mut op: impl FnMut(&mut &TcpStream) -> io::Result<usize>,
-    ) -> io::Result<usize> {
-        loop {
-            self.stream.set_write_timeout(Some(self.remaining()?))?;
-            match op(&mut &*self.stream) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-impl Write for DeadlineStream<'_> {
+impl Write for Deadline<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.write_with(|s| s.write(buf))
+        self.run(TcpStream::set_write_timeout, |mut s| s.write(buf))
     }
 
-    /// Forwarded so [`write_frame`] stays one vectored write under an
-    /// operation deadline too.
+    /// Forwarded so [`write_frame`] stays one vectored write.
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        self.write_with(|s| s.write_vectored(bufs))
+        self.run(TcpStream::set_write_timeout, |mut s| s.write_vectored(bufs))
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        (&mut (&*self.stream)).flush()
-    }
-}
-
-/// Maps a deadline expiry (surfaced as a `TimedOut`/`WouldBlock` IO
-/// error) to [`NetError::Timeout`]; everything else stays a wire
-/// error.
-fn map_deadline(e: WireError) -> NetError {
-    match e {
-        WireError::Io(ref io_err)
-            if matches!(
-                io_err.kind(),
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ) =>
-        {
-            NetError::Timeout
-        }
-        other => NetError::Wire(other),
+        Ok(()) // a TcpStream buffers nothing
     }
 }
 
@@ -1088,9 +1111,9 @@ impl Client {
     /// lose an option the original had. Everything else that shapes an
     /// operation — `op_deadline`, `max_frame_bytes` — lives on the
     /// `Client` itself and is applied per request (the deadline
-    /// installs its remaining-budget read/write timeouts on every
-    /// syscall, see [`DeadlineStream`]), so it survives any number of
-    /// reconnects by construction (regression:
+    /// installs its remaining-budget timeouts before every syscall, see
+    /// [`Deadline`]), so it survives any number of reconnects by
+    /// construction (regression:
     /// `reconnected_client_keeps_its_op_deadline`).
     fn configure_socket(stream: &TcpStream) -> io::Result<()> {
         stream.set_nodelay(true)
@@ -1119,32 +1142,36 @@ impl Client {
 
     /// Sends one decode request and blocks for the response.
     ///
+    /// After a transport failure ([`NetError::Timeout`] or
+    /// [`NetError::Wire`]) the socket may still deliver this request's
+    /// late reply, which the next request would read as its own. So the
+    /// client retires the socket and dials a fresh one; if the dial
+    /// fails, the next request fails on the retired socket and dials
+    /// again.
+    ///
     /// # Errors
     ///
     /// The full [`NetError`] taxonomy; [`NetError::Busy`] is the
     /// retryable one, and [`NetError::Timeout`] reports an elapsed
     /// [`Self::op_deadline`].
     pub fn request(&mut self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
-        match self.op_deadline {
-            None => {
-                write_frame(&mut self.stream, &encode_request(request, stream))?;
-                let payload = read_frame(&mut self.stream, self.max_frame_bytes)?
-                    .ok_or(WireError::Truncated)?;
-                decode_response(&payload)
-            }
-            Some(limit) => {
-                let mut io = DeadlineStream {
-                    stream: &self.stream,
-                    deadline: Instant::now() + limit,
-                };
-                write_frame(&mut io, &encode_request(request, stream))
-                    .map_err(|e| map_deadline(WireError::from(e)))?;
-                let payload = read_frame(&mut io, self.max_frame_bytes)
-                    .map_err(map_deadline)?
-                    .ok_or(WireError::Truncated)?;
-                decode_response(&payload)
-            }
+        let result = self.exchange(request, stream);
+        if matches!(result, Err(NetError::Timeout | NetError::Wire(_))) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+            let _ = self.reconnect();
         }
+        result
+    }
+
+    /// One request frame out and one response frame back, inside the
+    /// operation deadline when there is one. The request payload is a
+    /// temporary, freed before the reply is read.
+    fn exchange(&self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
+        let at = self.op_deadline.map(|limit| Instant::now() + limit);
+        let mut io = Deadline::new(&self.stream, at);
+        write_frame(&mut io, &encode_request(request, stream))?;
+        let payload = read_frame(&mut io, self.max_frame_bytes)?.ok_or(WireError::Truncated)?;
+        decode_response(&payload)
     }
 
     /// [`Self::request`], absorbing [`NetError::Busy`] responses under
@@ -1164,22 +1191,7 @@ impl Client {
         stream: &[u8],
         policy: &NetRetryPolicy,
     ) -> Result<NetResponse, NetError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.request(request, stream) {
-                Err(NetError::Busy) => {
-                    if attempt >= policy.max_retries {
-                        return Err(NetError::RetriesExhausted {
-                            attempts: attempt + 1,
-                        });
-                    }
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                    self.reconnect()?;
-                }
-                other => return other,
-            }
-        }
+        self.retry(request, stream, policy, None)
     }
 
     /// [`Self::decode_retry`] behind a [`CircuitBreaker`]: when the
@@ -1191,9 +1203,7 @@ impl Client {
     /// Breaker accounting: timeouts and wire errors are failures;
     /// *any* server-answered outcome — success, `Busy`, or a
     /// structured server error — proves the path works and resets the
-    /// breaker. After a transport failure the connection is re-dialled
-    /// best-effort so a late straggler reply cannot desynchronise the
-    /// next request.
+    /// breaker.
     ///
     /// # Errors
     ///
@@ -1206,39 +1216,42 @@ impl Client {
         policy: &NetRetryPolicy,
         breaker: &mut CircuitBreaker,
     ) -> Result<NetResponse, NetError> {
-        if !breaker.allow() {
+        self.retry(request, stream, policy, Some(breaker))
+    }
+
+    /// The retry loop behind both entry points, with the breaker
+    /// optional.
+    fn retry(
+        &mut self,
+        request: &Request,
+        stream: &[u8],
+        policy: &NetRetryPolicy,
+        mut breaker: Option<&mut CircuitBreaker>,
+    ) -> Result<NetResponse, NetError> {
+        if breaker.as_mut().is_some_and(|b| !b.allow()) {
             return Err(NetError::CircuitOpen);
         }
         let mut attempt = 0u32;
         loop {
-            match self.request(request, stream) {
-                Ok(resp) => {
-                    breaker.on_success();
-                    return Ok(resp);
+            let result = self.request(request, stream);
+            if let Some(b) = breaker.as_deref_mut() {
+                match result {
+                    Err(NetError::Timeout | NetError::Wire(_)) => b.on_failure(),
+                    _ => b.on_success(),
                 }
-                Err(NetError::Busy) => {
-                    // The server answered: the transport works.
-                    breaker.on_success();
-                    if attempt >= policy.max_retries {
-                        return Err(NetError::RetriesExhausted {
-                            attempts: attempt + 1,
-                        });
-                    }
+            }
+            match result {
+                Err(NetError::Busy) if attempt < policy.max_retries => {
                     std::thread::sleep(policy.backoff(attempt));
                     attempt += 1;
                     self.reconnect()?;
                 }
-                Err(e @ (NetError::Timeout | NetError::Wire(_))) => {
-                    breaker.on_failure();
-                    // The stream may hold a straggler reply; drop it.
-                    let _ = self.reconnect();
-                    return Err(e);
+                Err(NetError::Busy) => {
+                    return Err(NetError::RetriesExhausted {
+                        attempts: attempt + 1,
+                    })
                 }
-                Err(other) => {
-                    // Structured server errors still prove liveness.
-                    breaker.on_success();
-                    return Err(other);
-                }
+                other => return other,
             }
         }
     }
@@ -1855,6 +1868,67 @@ mod tests {
         );
         stop_tx.send(()).unwrap();
         stall.join().unwrap();
+    }
+
+    /// Regression: after a [`NetError::Timeout`], `request` and
+    /// `decode_retry` kept their socket, so the next request read the
+    /// late reply to the timed-out one. A scripted server answers the
+    /// first request with image A only once the client's deadline has
+    /// fired, and every later request at once with image B, on
+    /// whichever connection carries it.
+    #[test]
+    fn a_late_reply_is_never_read_as_the_next_answer() {
+        use std::net::TcpListener;
+        let a = Image::synthetic_rgb(32, 32, 1);
+        let b = test_image();
+        for use_retry in [false, true] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (late_tx, late_rx) = std::sync::mpsc::channel::<()>();
+            let replies = [
+                encode_ok(&a, None, ServedFrom::Cold),
+                encode_ok(&b, None, ServedFrom::Cold),
+            ];
+            let server = std::thread::spawn(move || {
+                let mut answered = 0;
+                for conn in listener.incoming() {
+                    let mut conn = conn.unwrap();
+                    while let Ok(Some(_)) = read_frame(&mut conn, MAX_FRAME_BYTES) {
+                        if answered == 0 {
+                            let _ = late_rx.recv();
+                        }
+                        let _ = write_frame(&mut conn, &replies[answered.min(1)]);
+                        answered += 1;
+                    }
+                    if answered >= 2 {
+                        return;
+                    }
+                }
+            });
+            let mut client = Client::connect(addr)
+                .unwrap()
+                .op_deadline(Duration::from_millis(200));
+            let policy = NetRetryPolicy::default();
+            let ask = |client: &mut Client| {
+                if use_retry {
+                    client.decode_retry(&Request::strict(), b"x", &policy)
+                } else {
+                    client.request(&Request::strict(), b"x")
+                }
+            };
+            let err = ask(&mut client).expect_err("image A comes after the deadline");
+            assert!(matches!(err, NetError::Timeout), "{err:?}");
+            late_tx.send(()).unwrap();
+            let resp = ask(&mut client).unwrap();
+            assert!(
+                resp.image == b,
+                "retry {use_retry}: read the late {}x{} reply",
+                resp.image.width,
+                resp.image.height
+            );
+            drop(client);
+            server.join().unwrap();
+        }
     }
 
     /// The coalesced outcome is part of the wire taxonomy: it

@@ -26,7 +26,16 @@
 //! and [`crate::net::Client::decode_retry`] backs off and retries. A
 //! saturated handler pool short-circuits earlier — the acceptor itself
 //! answers busy and closes, so a flood degrades into explicit retry
-//! traffic instead of hung connections.
+//! traffic instead of hung connections. The hand-off channel holds
+//! [`ServerConfig::backlog`] connections, so at most `handler_threads +
+//! backlog` are ever queued for or inside a handler.
+//!
+//! A handler waits for each frame's first byte for at most
+//! [`ServerConfig::idle_timeout`] and reads the frame itself within
+//! [`ServerConfig::frame_deadline`]. Both waits go through the deadline
+//! adapter the wire client uses, watching the shutdown flag every
+//! [`ServerConfig::poll_interval`]; the drain of a rejected peer uses it
+//! too.
 //!
 //! The server keeps its books in a [`MetricsRegistry`] under
 //! `server.*`, alongside the service's own `service.*` metrics, and
@@ -37,15 +46,15 @@
 
 use crate::net::{
     decode_request, encode_busy, encode_component_limit, encode_ok, encode_protocol_error,
-    encode_service_error, read_frame, write_frame, WireError, WireReport, MAX_FRAME_BYTES,
-    MAX_WIRE_COMPONENTS,
+    encode_service_error, read_frame, write_frame, Deadline, WireError, WireReport,
+    MAX_FRAME_BYTES, MAX_WIRE_COMPONENTS,
 };
 use crate::service::{DecodeService, ServiceError};
 use crate::sim_time;
 use osss_sim::lock_unpoisoned;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
-use std::io::{self, ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -54,10 +63,8 @@ use std::time::{Duration, Instant};
 /// Transport write timeout for response frames (handlers, the
 /// acceptor's busy/refused answers).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
-/// Per-read timeout while draining a rejected connection's bytes
-/// before close (see `reject_busy`).
-const DRAIN_READ_TIMEOUT: Duration = Duration::from_secs(1);
-/// Total budget for that drain.
+/// How long a rejected connection's bytes are drained before close
+/// (see `reject_busy`).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for a [`DecodeServer`].
@@ -66,15 +73,16 @@ pub struct ServerConfig {
     /// Connection-handler threads — concurrent connections served.
     pub handler_threads: usize,
     /// Accepted connections that may wait for a free handler before
-    /// the acceptor answers busy instead.
+    /// the acceptor answers busy instead; `0` hands a connection only
+    /// to a handler already waiting for one.
     pub backlog: usize,
     /// How long a handler blocks for decode-queue space before
     /// answering a retryable-busy frame.
     pub submit_timeout: Duration,
     /// Largest request frame a handler accepts.
     pub max_frame_bytes: usize,
-    /// Idle-poll granularity: how often a handler blocked on a quiet
-    /// connection rechecks the shutdown flag.
+    /// How often a handler blocked on a connection rechecks the
+    /// shutdown flag.
     pub poll_interval: Duration,
     /// Whole-frame read deadline. Per-read timeouts alone do not stop
     /// a slow-loris peer — one byte per [`Self::poll_interval`] resets
@@ -85,10 +93,6 @@ pub struct ServerConfig {
     /// Closes a connection that stays idle *between* frames this long
     /// ([`ServerStats::idle_reaped`]).
     pub idle_timeout: Duration,
-    /// Upper bound on connections open server-side (queued for or
-    /// inside a handler); the acceptor answers excess connections with
-    /// a busy frame ([`ServerStats::conn_capped`]).
-    pub max_connections: usize,
     /// Admission budget on the request bytes concurrently admitted to
     /// the decode path; a request that would exceed it is answered
     /// busy ([`ServerStats::admission_rejected`]) without touching the
@@ -113,7 +117,6 @@ impl Default for ServerConfig {
             poll_interval: Duration::from_millis(50),
             frame_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
-            max_connections: 256,
             max_inflight_bytes: 256 << 20,
             metrics: None,
         }
@@ -153,9 +156,6 @@ pub struct ServerStats {
     /// Requests that failed inside the service (caught worker panics,
     /// lost tickets).
     pub internal: u64,
-    /// Connections answered busy at the acceptor because
-    /// [`ServerConfig::max_connections`] was reached.
-    pub conn_capped: u64,
     /// Frames evicted by the whole-frame read deadline (slow-loris
     /// peers).
     pub frame_timeouts: u64,
@@ -183,8 +183,8 @@ impl ServerStats {
     }
 }
 
-/// The server's books: every outcome counter, the three pressure
-/// gauges (which the admission budget and the connection cap read
+/// The server's books: every outcome counter, the active-connection
+/// and in-flight-bytes gauges (the admission budget reads the latter
 /// directly) and the latency histogram, each one registry handle read
 /// back by [`DecodeServer::stats`].
 struct Meters {
@@ -201,12 +201,10 @@ struct Meters {
     failed: Counter,
     refused: Counter,
     internal: Counter,
-    conn_capped: Counter,
     frame_timeouts: Counter,
     idle_reaped: Counter,
     admission_rejected: Counter,
     active: Gauge,
-    open_conns: Gauge,
     inflight_bytes: Gauge,
     latency: Histogram,
 }
@@ -227,12 +225,10 @@ impl Meters {
             failed: reg.counter("server.failed"),
             refused: reg.counter("server.refused"),
             internal: reg.counter("server.internal"),
-            conn_capped: reg.counter("server.conn_capped"),
             frame_timeouts: reg.counter("server.frame_timeouts"),
             idle_reaped: reg.counter("server.idle_reaped"),
             admission_rejected: reg.counter("server.admission_rejected"),
             active: reg.gauge("server.active"),
-            open_conns: reg.gauge("server.open_conns"),
             inflight_bytes: reg.gauge("server.inflight_bytes"),
             latency: reg.histogram("server.latency"),
         }
@@ -258,6 +254,13 @@ impl Shared {
             return false;
         }
         true
+    }
+
+    /// I/O on `stream` that fails once `budget` from now has elapsed
+    /// or the server is shutting down.
+    fn bounded<'a>(&'a self, stream: &'a TcpStream, budget: Duration) -> Deadline<'a> {
+        Deadline::new(stream, Some(Instant::now() + budget))
+            .or_shutdown(&self.shutdown, self.config.poll_interval)
     }
 }
 
@@ -291,7 +294,7 @@ impl DecodeServer {
             config: config.clone(),
         });
 
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.backlog.max(1));
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.backlog);
         let rx = Arc::new(Mutex::new(rx));
 
         let handlers = (0..config.handler_threads.max(1))
@@ -343,7 +346,6 @@ impl DecodeServer {
             failed: m.failed.get(),
             refused: m.refused.get(),
             internal: m.internal.get(),
-            conn_capped: m.conn_capped.get(),
             frame_timeouts: m.frame_timeouts.get(),
             idle_reaped: m.idle_reaped.get(),
             admission_rejected: m.admission_rejected.get(),
@@ -406,21 +408,12 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
             let _ = respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
             return;
         }
-        if m.open_conns.get() as u64 >= shared.config.max_connections as u64 {
-            // Connection cap: shed at the door with an explicit busy
-            // frame instead of letting connections pile up unserved.
-            m.conn_capped.inc();
-            reject_busy(stream);
-            continue;
-        }
-        m.open_conns.add(1);
         match tx.try_send(stream) {
             Ok(()) => m.accepted.inc(),
             Err(mpsc::TrySendError::Full(stream)) => {
                 // Handler pool saturated: answer busy and close so the
                 // client retries with backoff instead of queueing
                 // invisibly.
-                m.open_conns.add(-1);
                 m.conn_rejected.inc();
                 reject_busy(stream);
             }
@@ -434,7 +427,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
 fn respond_and_close(mut stream: TcpStream, payload: &[u8]) -> io::Result<()> {
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     write_frame(&mut stream, payload)?;
-    stream.shutdown(std::net::Shutdown::Write)
+    stream.shutdown(Shutdown::Write)
 }
 
 /// Rejects a connection with a busy frame, *gracefully*: the client
@@ -442,28 +435,18 @@ fn respond_and_close(mut stream: TcpStream, payload: &[u8]) -> io::Result<()> {
 /// queued provokes a TCP reset that discards the busy frame on the
 /// client side. So the frame goes out, the write side closes (FIN),
 /// and a short detached thread drains the client's bytes until it
-/// hangs up — never blocking the acceptor, never resetting the peer.
+/// hangs up or [`DRAIN_DEADLINE`] passes — never blocking the
+/// acceptor, never resetting the peer.
 fn reject_busy(mut stream: TcpStream) {
     let _ = std::thread::Builder::new()
         .name("decode-net-reject".into())
         .spawn(move || {
-            if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
-                || stream.set_read_timeout(Some(DRAIN_READ_TIMEOUT)).is_err()
-                || write_frame(&mut stream, &encode_busy()).is_err()
-                || stream.shutdown(std::net::Shutdown::Write).is_err()
+            if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_ok()
+                && write_frame(&mut stream, &encode_busy()).is_ok()
+                && stream.shutdown(Shutdown::Write).is_ok()
             {
-                return;
-            }
-            let mut sink = [0u8; 4096];
-            let deadline = Instant::now() + DRAIN_DEADLINE;
-            loop {
-                match stream.read(&mut sink) {
-                    Ok(0) | Err(_) => return, // EOF, timeout or reset
-                    Ok(_) => {}
-                }
-                if Instant::now() >= deadline {
-                    return;
-                }
+                let mut drain = Deadline::new(&stream, Some(Instant::now() + DRAIN_DEADLINE));
+                let _ = io::copy(&mut drain, &mut io::sink());
             }
         });
 }
@@ -485,51 +468,6 @@ fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
         m.active.add(1);
         serve_connection(shared, stream);
         m.active.add(-1);
-        m.open_conns.add(-1);
-    }
-}
-
-/// Reads one frame under an absolute deadline while staying
-/// responsive to shutdown: before each read the remaining budget
-/// (capped at the poll interval) becomes the socket timeout, so a
-/// peer trickling one byte per window cannot extend the frame past
-/// the deadline — each partial read shrinks what is left instead of
-/// resetting it. Deadline expiry surfaces as `ErrorKind::TimedOut`
-/// (socket-level `WouldBlock`/`TimedOut` wake-ups are absorbed), so
-/// the caller can attribute it unambiguously.
-struct FrameReader<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
-    poll: Duration,
-    shutdown: &'a AtomicBool,
-}
-
-impl Read for FrameReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Err(io::Error::new(
-                    ErrorKind::ConnectionAborted,
-                    "server shutting down",
-                ));
-            }
-            let now = Instant::now();
-            if now >= self.deadline {
-                return Err(io::Error::new(
-                    ErrorKind::TimedOut,
-                    "whole-frame read deadline exceeded",
-                ));
-            }
-            let window = (self.deadline - now).min(self.poll);
-            self.stream.set_read_timeout(Some(window))?;
-            match (&mut (&*self.stream)).read(buf) {
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                other => return other,
-            }
-        }
     }
 }
 
@@ -540,59 +478,41 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let m = &shared.meters;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-        return;
-    }
-    let mut last_activity = Instant::now();
     loop {
-        // Idle poll: wait for the first byte of a frame with a short
-        // timeout so the shutdown flag is observed on quiet
-        // connections. peek() leaves the byte for read_frame.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
+        // Wait for the first byte of a frame; peek() leaves it for
+        // read_frame.
+        match shared
+            .bounded(&stream, config.idle_timeout)
+            .peek(&mut [0u8; 1])
+        {
             Ok(0) => return, // clean EOF between frames
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = respond_and_close(
-                        stream,
-                        &encode_service_error(&ServiceError::ShuttingDown),
-                    );
-                    return;
-                }
-                if last_activity.elapsed() >= config.idle_timeout {
-                    // Reap: free the handler for live traffic. The
-                    // peer sees clean EOF between frames.
-                    m.idle_reaped.inc();
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-                continue;
+            Err(e) if e.kind() == ErrorKind::TimedOut => {
+                // Reap: free the handler for live traffic. The peer
+                // sees clean EOF between frames.
+                m.idle_reaped.inc();
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => {
+                // Tell a quiet peer why it is being closed.
+                let _ =
+                    respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
+                return;
             }
             Err(_) => return,
         }
         // A frame has begun: the whole frame races one budget, so a
         // peer trickling a byte per poll window is evicted instead of
         // pinning the handler (slow-loris).
-        let mut reader = FrameReader {
-            stream: &stream,
-            deadline: Instant::now() + config.frame_deadline,
-            poll: config.poll_interval,
-            shutdown: &shared.shutdown,
-        };
-        let read_result = read_frame(&mut reader, config.max_frame_bytes);
-        // Restore the idle-poll timeout for the next peek.
-        if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-            return;
-        }
-        match read_result {
+        let mut frame = shared.bounded(&stream, config.frame_deadline);
+        match read_frame(&mut frame, config.max_frame_bytes) {
             Ok(None) => return,
             Ok(Some(payload)) => {
                 m.frames_in.inc();
                 if !handle_frame(shared, &mut stream, &payload) {
                     return;
                 }
-                last_activity = Instant::now();
             }
             Err(WireError::Io(e)) if e.kind() == ErrorKind::TimedOut => {
                 // The whole-frame deadline elapsed: evict the peer.
@@ -705,6 +625,7 @@ mod tests {
     use crate::net::{encode_request, Client, NetError, NetRetryPolicy};
     use crate::service::{Request, ServiceConfig};
     use osss_sim::checksum::crc32;
+    use std::io::Read;
 
     fn small_service(workers: usize, queue: usize) -> Arc<DecodeService> {
         Arc::new(DecodeService::new(ServiceConfig {
@@ -1107,41 +1028,51 @@ mod tests {
         );
     }
 
+    /// With no backlog, the acceptor hands a connection only to a
+    /// handler already waiting for one, so open connections are capped
+    /// at `handler_threads`: while the only handler is pinned, the next
+    /// client is shed at the door with a busy frame.
     #[test]
-    fn connection_cap_sheds_with_a_busy_frame() {
+    fn zero_backlog_sheds_with_a_busy_frame() {
         let registry = MetricsRegistry::new();
         let server = start(
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 1,
-                backlog: 1,
-                max_connections: 1,
+                backlog: 0,
                 metrics: Some(registry.clone()),
                 ..ServerConfig::default()
             },
         );
         let addr = server.local_addr();
-        // Occupy the single permitted connection...
-        let _pin = std::net::TcpStream::connect(addr).unwrap();
+        // Pin the only handler with an idle connection. One that arrives
+        // before the handler waits for it is shed too, so dial again
+        // until one is claimed.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.active_connections(), 1);
-        // ...so the next client is shed at the door with a busy frame.
+        let _pin = loop {
+            let pin = std::net::TcpStream::connect(addr).unwrap();
+            let claimed = Instant::now() + Duration::from_millis(250);
+            while server.active_connections() < 1 && Instant::now() < claimed {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            if server.active_connections() == 1 {
+                break pin;
+            }
+            assert!(Instant::now() < deadline, "no connection was claimed");
+        };
         let (_, bytes) = lossless_stream(21);
         let mut victim = Client::connect(addr).unwrap();
         let err = victim.request(&Request::strict(), &bytes).unwrap_err();
         assert!(matches!(err, NetError::Busy), "{err:?}");
         let stats = server.shutdown();
-        assert!(stats.conn_capped >= 1, "{stats:?}");
+        assert!(stats.conn_rejected >= 1, "{stats:?}");
         assert!(stats.reconciles(), "{stats:?}");
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counters.get("server.conn_capped").copied(),
-            Some(stats.conn_capped)
+            snap.counters.get("server.conn_rejected").copied(),
+            Some(stats.conn_rejected)
         );
-        assert_eq!(snap.gauges.get("server.open_conns").copied(), Some(0));
+        assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
         ("server.frame_rejects", server_stats.frame_rejects),
         ("server.frame_timeouts", server_stats.frame_timeouts),
         ("server.idle_reaped", server_stats.idle_reaped),
-        ("server.conn_capped", server_stats.conn_capped),
+        ("server.conn_rejected", server_stats.conn_rejected),
         ("server.admission_rejected", server_stats.admission_rejected),
         ("service.submitted", svc.submitted),
         ("service.coalesced", svc.coalesced),
@@ -230,7 +230,7 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
         assert_eq!(counter(name), value, "{name} mirror drifted");
     }
     // Nothing left open or in flight once everything shut down.
-    assert_eq!(snap.gauges.get("server.open_conns").copied(), Some(0));
+    assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
     assert!(matches!(
         snap.gauges.get("server.inflight_bytes").copied(),
         None | Some(0)
