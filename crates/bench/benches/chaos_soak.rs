@@ -16,6 +16,10 @@
 //! direct goodput measured in the same run. Results go to
 //! `BENCH_chaos.json`; `--test` or `BENCH_QUICK=1` runs a reduced smoke
 //! pass and skips the JSON write.
+//!
+//! The proxy's byte schedule replays from `SEED`, but the lossy run's
+//! ok/failed counts do not: a retry's backoff and each client's
+//! deadline race wall-clock time, so one seed has read 65/25 and 66/24.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,7 +117,6 @@ fn with_server<F: FnOnce(SocketAddr) -> RunResult>(f: F) -> RunResult {
         "127.0.0.1:0",
         ServerConfig {
             handler_threads: CLIENTS + 1,
-            poll_interval: Duration::from_millis(10),
             frame_deadline: Duration::from_secs(2),
             ..ServerConfig::default()
         },
@@ -127,10 +130,9 @@ fn with_server<F: FnOnce(SocketAddr) -> RunResult>(f: F) -> RunResult {
         .expect("sole owner")
         .shutdown();
     assert!(svc_stats.reconciles(), "{svc_stats:?}");
-    assert_eq!(
-        svc_stats.submitted + svc_stats.coalesced,
-        server_stats.ok + server_stats.expired + server_stats.failed + server_stats.internal,
-        "one service submission or coalesce per admitted request"
+    assert!(
+        server_stats.reconciles_with(&svc_stats),
+        "one service submission or coalesce per admitted request: {server_stats:?} / {svc_stats:?}"
     );
     result
 }

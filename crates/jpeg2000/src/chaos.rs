@@ -32,7 +32,7 @@
 //! exactly how much damage the stack absorbed. See `tests/chaos.rs` for
 //! the invariants the decode stack must uphold under any schedule.
 
-use crate::net::Deadline;
+use crate::net::{Deadline, POLL_INTERVAL};
 use osss_sim::lock_unpoisoned;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -53,9 +53,6 @@ const KIND_FLIP: u64 = 0x464C4950_464C4950; // byte corruption
 const KIND_FLIP_MASK: u64 = 0x464C4950_4D41534B; // corruption mask
 const KIND_DROP: u64 = 0x44524F50_44524F50; // connection drop
 const KIND_HOLE: u64 = 0x484F4C45_484F4C45; // connection blackhole
-
-/// How often a pump thread blocked on a read rechecks the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// splitmix64-style finaliser over `(seed, stream, connection, n)`:
 /// the deterministic noise source behind every proxy decision.

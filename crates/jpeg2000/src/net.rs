@@ -65,9 +65,13 @@ pub const FRAME_MAGIC: u32 = 0x4A32_4B44;
 /// Protocol version carried in every request.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Default bound on a frame payload (64 MiB) — both sides refuse
-/// larger frames before allocating.
+/// Bound on a frame payload (64 MiB) — both sides refuse larger
+/// frames before allocating.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// How often a wait that watches a shutdown flag rechecks it: the
+/// server's handlers and the chaos proxy's relays.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 const TAG_REQUEST: u8 = 1;
 const TAG_RESPONSE: u8 = 2;
@@ -672,7 +676,7 @@ pub fn encode_protocol_error(detail: &str) -> Vec<u8> {
 }
 
 /// Encodes a retryable-busy response (used both for a full decode
-/// queue and for a saturated connection-handler pool).
+/// queue and for a connection the server's acceptor turns away).
 pub fn encode_busy() -> Vec<u8> {
     encode_error(STATUS_BUSY, "")
 }
@@ -1084,7 +1088,6 @@ impl Write for Deadline<'_> {
 pub struct Client {
     stream: TcpStream,
     addr: SocketAddr,
-    max_frame_bytes: usize,
     op_deadline: Option<Duration>,
 }
 
@@ -1101,29 +1104,20 @@ impl Client {
         Ok(Client {
             stream,
             addr,
-            max_frame_bytes: MAX_FRAME_BYTES,
             op_deadline: None,
         })
     }
 
     /// Per-socket configuration, shared by [`Self::connect`] and
     /// [`Self::reconnect`] so a replacement socket can never silently
-    /// lose an option the original had. Everything else that shapes an
-    /// operation — `op_deadline`, `max_frame_bytes` — lives on the
-    /// `Client` itself and is applied per request (the deadline
-    /// installs its remaining-budget timeouts before every syscall, see
+    /// lose an option the original had. The `op_deadline` lives on the
+    /// `Client` itself and is applied per request (it installs its
+    /// remaining-budget timeouts before every syscall, see
     /// [`Deadline`]), so it survives any number of reconnects by
     /// construction (regression:
     /// `reconnected_client_keeps_its_op_deadline`).
     fn configure_socket(stream: &TcpStream) -> io::Result<()> {
         stream.set_nodelay(true)
-    }
-
-    /// Lowers (or raises) the response-frame size this client accepts.
-    #[must_use]
-    pub fn max_frame_bytes(mut self, max: usize) -> Self {
-        self.max_frame_bytes = max;
-        self
     }
 
     /// Bounds every [`Self::request`] (send + full reply) by one
@@ -1170,16 +1164,16 @@ impl Client {
         let at = self.op_deadline.map(|limit| Instant::now() + limit);
         let mut io = Deadline::new(&self.stream, at);
         write_frame(&mut io, &encode_request(request, stream))?;
-        let payload = read_frame(&mut io, self.max_frame_bytes)?.ok_or(WireError::Truncated)?;
+        let payload = read_frame(&mut io, MAX_FRAME_BYTES)?.ok_or(WireError::Truncated)?;
         decode_response(&payload)
     }
 
     /// [`Self::request`], absorbing [`NetError::Busy`] responses under
     /// `policy`'s deterministic backoff.
     ///
-    /// A busy answer from the *acceptor* (handler pool saturated)
-    /// closes the connection after the frame, so each retry runs on a
-    /// fresh connection — transparent to the caller.
+    /// A busy answer from the *acceptor* (every handler taken) closes
+    /// the connection after the frame, so each retry runs on a fresh
+    /// connection — transparent to the caller.
     ///
     /// # Errors
     ///

@@ -13,50 +13,50 @@
 //! ## Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ acceptor ──bounded channel──▶ handler pool (N threads)
-//!                     │                               │ frame in, CRC check
-//!                     │ pool saturated:               │ submit_wait (backpressure)
-//!                     └─▶ busy frame, close           │ frame out
-//!                                                     ▼
-//!                                               DecodeService
+//! clients ──TCP──▶ acceptor ──spawn──▶ one handler thread per connection
+//!                     │                   │ frame in, CRC check
+//!                     │ handler_threads   │ submit_wait (backpressure)
+//!                     │ already open:     │ frame out
+//!                     └─▶ busy frame,     ▼
+//!                         close        DecodeService
 //! ```
 //!
-//! Backpressure propagates end to end: a full decode queue makes
-//! `submit_wait` time out, the handler answers a retryable-busy frame,
-//! and [`crate::net::Client::decode_retry`] backs off and retries. A
-//! saturated handler pool short-circuits earlier — the acceptor itself
-//! answers busy and closes, so a flood degrades into explicit retry
-//! traffic instead of hung connections. The hand-off channel holds
-//! [`ServerConfig::backlog`] connections, so at most `handler_threads +
-//! backlog` are ever queued for or inside a handler.
+//! Each resource has one bound. Connections: the acceptor starts one
+//! handler thread per connection while fewer than
+//! [`ServerConfig::handler_threads`] are open, and answers any other
+//! connection with a busy frame and closes it, so a flood degrades into
+//! explicit retry traffic instead of hung connections. Request bytes:
+//! a handler reads one frame of at most [`MAX_FRAME_BYTES`] at a time.
+//! Decode work: the service's queue — when it is full, `submit_wait`
+//! times out, the handler answers a retryable-busy frame, and
+//! [`crate::net::Client::decode_retry`] backs off and retries.
 //!
 //! A handler waits for each frame's first byte for at most
 //! [`ServerConfig::idle_timeout`] and reads the frame itself within
 //! [`ServerConfig::frame_deadline`]. Both waits go through the deadline
 //! adapter the wire client uses, watching the shutdown flag every
-//! [`ServerConfig::poll_interval`]; the drain of a rejected peer uses it
-//! too.
+//! 20 ms; the drain of a rejected peer uses it too.
 //!
 //! The server keeps its books in a [`MetricsRegistry`] under
 //! `server.*`, alongside the service's own `service.*` metrics, and
 //! the two families reconcile exactly: each CRC-valid frame resolves
 //! as exactly one of ok / busy / expired / failed / refused / internal
-//! / protocol-error, and each admitted request is one service
-//! submission.
+//! / protocol-error ([`ServerStats::reconciles`]), and each request
+//! handed to the service is one service submission
+//! ([`ServerStats::reconciles_with`]).
 
 use crate::net::{
     decode_request, encode_busy, encode_component_limit, encode_ok, encode_protocol_error,
     encode_service_error, read_frame, write_frame, Deadline, WireError, WireReport,
-    MAX_FRAME_BYTES, MAX_WIRE_COMPONENTS,
+    MAX_FRAME_BYTES, MAX_WIRE_COMPONENTS, POLL_INTERVAL,
 };
-use crate::service::{DecodeService, ServiceError};
+use crate::service::{DecodeService, ServiceError, ServiceStats, Ticket};
 use crate::sim_time;
-use osss_sim::lock_unpoisoned;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,34 +70,22 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// Tuning knobs for a [`DecodeServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Connection-handler threads — concurrent connections served.
+    /// Connections served at once, each by its own handler thread; the
+    /// acceptor answers any further connection busy
+    /// ([`ServerStats::conn_rejected`]).
     pub handler_threads: usize,
-    /// Accepted connections that may wait for a free handler before
-    /// the acceptor answers busy instead; `0` hands a connection only
-    /// to a handler already waiting for one.
-    pub backlog: usize,
     /// How long a handler blocks for decode-queue space before
     /// answering a retryable-busy frame.
     pub submit_timeout: Duration,
-    /// Largest request frame a handler accepts.
-    pub max_frame_bytes: usize,
-    /// How often a handler blocked on a connection rechecks the
-    /// shutdown flag.
-    pub poll_interval: Duration,
     /// Whole-frame read deadline. Per-read timeouts alone do not stop
-    /// a slow-loris peer — one byte per [`Self::poll_interval`] resets
-    /// them forever — so once a frame has begun, the handler bounds
-    /// the *entire* frame by this budget and evicts the connection
-    /// when it elapses ([`ServerStats::frame_timeouts`]).
+    /// a slow-loris peer — one byte per read window resets them
+    /// forever — so once a frame has begun, the handler bounds the
+    /// *entire* frame by this budget and evicts the connection when it
+    /// elapses ([`ServerStats::frame_timeouts`]).
     pub frame_deadline: Duration,
     /// Closes a connection that stays idle *between* frames this long
     /// ([`ServerStats::idle_reaped`]).
     pub idle_timeout: Duration,
-    /// Admission budget on the request bytes concurrently admitted to
-    /// the decode path; a request that would exceed it is answered
-    /// busy ([`ServerStats::admission_rejected`]) without touching the
-    /// service queue.
-    pub max_inflight_bytes: usize,
     /// Observability sink. The server keeps its `server.*` counters,
     /// the active-connection gauge and the request-latency histogram
     /// in this registry (in a private one when `None`), and
@@ -111,13 +99,9 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             handler_threads: 4,
-            backlog: 16,
             submit_timeout: Duration::from_millis(250),
-            max_frame_bytes: MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(50),
             frame_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
-            max_inflight_bytes: 256 << 20,
             metrics: None,
         }
     }
@@ -127,9 +111,11 @@ impl Default for ServerConfig {
 /// by [`DecodeServer::shutdown`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted and handed to the handler pool.
+    /// Connections accepted and given a handler thread.
     pub accepted: u64,
-    /// Connections answered busy at the acceptor (pool saturated).
+    /// Connections the acceptor turned away: answered busy because
+    /// `handler_threads` were open, or closed because no handler
+    /// thread could start.
     pub conn_rejected: u64,
     /// CRC-valid frames received.
     pub frames_in: u64,
@@ -161,10 +147,6 @@ pub struct ServerStats {
     pub frame_timeouts: u64,
     /// Connections closed by the idle reaper.
     pub idle_reaped: u64,
-    /// Requests answered busy by the in-flight byte budget (also
-    /// counted in [`Self::busy`], so [`Self::reconciles`] is
-    /// unaffected).
-    pub admission_rejected: u64,
 }
 
 impl ServerStats {
@@ -181,12 +163,24 @@ impl ServerStats {
                 + self.internal
                 + self.protocol_errors
     }
+
+    /// The cross-family identity with the stats of the service this
+    /// server fronts: each request the server resolved through the
+    /// service was one submission, queued or coalesced, and each busy
+    /// answer was one [`ServiceError::QueueFull`] rejection. (Holds
+    /// once both are drained, and only while the server is the
+    /// service's one caller.)
+    pub fn reconciles_with(&self, service: &ServiceStats) -> bool {
+        service.submitted + service.coalesced
+            == self.ok + self.expired + self.failed + self.internal
+            && self.busy == service.rejected
+    }
 }
 
 /// The server's books: every outcome counter, the active-connection
-/// and in-flight-bytes gauges (the admission budget reads the latter
-/// directly) and the latency histogram, each one registry handle read
-/// back by [`DecodeServer::stats`].
+/// gauge (the acceptor's connection bound reads it directly) and the
+/// latency histogram, each one registry handle read back by
+/// [`DecodeServer::stats`].
 struct Meters {
     accepted: Counter,
     conn_rejected: Counter,
@@ -203,9 +197,7 @@ struct Meters {
     internal: Counter,
     frame_timeouts: Counter,
     idle_reaped: Counter,
-    admission_rejected: Counter,
     active: Gauge,
-    inflight_bytes: Gauge,
     latency: Histogram,
 }
 
@@ -227,9 +219,7 @@ impl Meters {
             internal: reg.counter("server.internal"),
             frame_timeouts: reg.counter("server.frame_timeouts"),
             idle_reaped: reg.counter("server.idle_reaped"),
-            admission_rejected: reg.counter("server.admission_rejected"),
             active: reg.gauge("server.active"),
-            inflight_bytes: reg.gauge("server.inflight_bytes"),
             latency: reg.histogram("server.latency"),
         }
     }
@@ -243,24 +233,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Reserves `bytes` against the in-flight admission budget; `false`
-    /// means the request must be shed.
-    fn try_admit(&self, bytes: i64) -> bool {
-        let inflight = self.meters.inflight_bytes.add(bytes);
-        // Compare as u64: the budget may be `usize::MAX`, which no i64
-        // holds.
-        if inflight as u64 > self.config.max_inflight_bytes as u64 {
-            self.meters.inflight_bytes.add(-bytes);
-            return false;
-        }
-        true
-    }
-
     /// I/O on `stream` that fails once `budget` from now has elapsed
     /// or the server is shutting down.
     fn bounded<'a>(&'a self, stream: &'a TcpStream, budget: Duration) -> Deadline<'a> {
         Deadline::new(stream, Some(Instant::now() + budget))
-            .or_shutdown(&self.shutdown, self.config.poll_interval)
+            .or_shutdown(&self.shutdown, POLL_INTERVAL)
     }
 }
 
@@ -269,13 +246,13 @@ pub struct DecodeServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
 }
 
 impl DecodeServer {
-    /// Binds `addr` and starts the acceptor and handler threads.
-    /// `addr` may use port `0` to let the OS pick — read the bound
-    /// address back with [`Self::local_addr`].
+    /// Binds `addr` and starts the acceptor thread, which starts a
+    /// handler thread per connection. `addr` may use port `0` to let
+    /// the OS pick — read the bound address back with
+    /// [`Self::local_addr`].
     ///
     /// # Errors
     ///
@@ -291,36 +268,19 @@ impl DecodeServer {
             service,
             meters: Meters::new(&config.metrics.clone().unwrap_or_default()),
             shutdown: AtomicBool::new(false),
-            config: config.clone(),
+            config,
         });
-
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.backlog);
-        let rx = Arc::new(Mutex::new(rx));
-
-        let handlers = (0..config.handler_threads.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("decode-net-{i}"))
-                    .spawn(move || handler_loop(&shared, &rx))
-                    .expect("spawn handler thread")
-            })
-            .collect();
-
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("decode-net-accept".into())
-                .spawn(move || accept_loop(&shared, &listener, &tx))
+                .spawn(move || accept_loop(&shared, &listener))
                 .expect("spawn acceptor thread")
         };
-
         Ok(DecodeServer {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            handlers,
         })
     }
 
@@ -348,7 +308,6 @@ impl DecodeServer {
             internal: m.internal.get(),
             frame_timeouts: m.frame_timeouts.get(),
             idle_reaped: m.idle_reaped.get(),
-            admission_rejected: m.admission_rejected.get(),
         }
     }
 
@@ -357,10 +316,10 @@ impl DecodeServer {
         self.shared.meters.active.get() as u64
     }
 
-    /// Stops accepting, drains the handler pool and returns the final
-    /// tallies. In-flight requests finish; idle connections close at
-    /// the next poll tick. The shared [`DecodeService`] is left
-    /// running — it belongs to the caller.
+    /// Stops accepting, waits for every handler to finish and returns
+    /// the final tallies. In-flight requests finish; idle connections
+    /// close at the next poll tick. The shared [`DecodeService`] is
+    /// left running — it belongs to the caller.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop();
         self.stats()
@@ -372,15 +331,10 @@ impl DecodeServer {
         };
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in accept(); a throwaway local connection
-        // wakes it to observe the flag.
+        // wakes it to observe the flag. It returns once every handler
+        // it started has finished.
         let _ = TcpStream::connect(self.local_addr);
         let _ = acceptor.join();
-        // The acceptor drops the channel sender on exit; handlers
-        // drain queued connections, then their recv fails and they
-        // stop.
-        for h in self.handlers.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -390,17 +344,17 @@ impl Drop for DecodeServer {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>) {
+/// Accepts connections until shutdown, starting a handler thread for
+/// each while fewer than `handler_threads` are open and answering the
+/// rest busy. The scope joins every handler before this returns.
+fn accept_loop(shared: &Shared, listener: &TcpListener) {
     let m = &shared.meters;
-    loop {
+    let cap = shared.config.handler_threads.max(1) as i64;
+    std::thread::scope(|scope| loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
+            Err(_) => continue,
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             // The shutdown wake-up connection (or a late client):
@@ -408,18 +362,33 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<Tc
             let _ = respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
             return;
         }
-        match tx.try_send(stream) {
-            Ok(()) => m.accepted.inc(),
-            Err(mpsc::TrySendError::Full(stream)) => {
-                // Handler pool saturated: answer busy and close so the
-                // client retries with backoff instead of queueing
-                // invisibly.
-                m.conn_rejected.inc();
-                reject_busy(stream);
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => return,
+        // Only this thread raises the count, so the cap is exact; it
+        // is raised before the handler starts and lowered by the
+        // handler as it ends.
+        if m.active.get() >= cap {
+            // Answer busy and close so the client retries with backoff
+            // instead of waiting unseen for a handler.
+            m.conn_rejected.inc();
+            reject_busy(stream);
+            continue;
         }
-    }
+        m.active.add(1);
+        let handler = std::thread::Builder::new()
+            .name("decode-net-conn".into())
+            .spawn_scoped(scope, move || {
+                serve_connection(shared, stream);
+                m.active.add(-1);
+            });
+        match handler {
+            Ok(_) => m.accepted.inc(),
+            // The connection went down with the closure; the client
+            // sees it closed.
+            Err(_) => {
+                m.active.add(-1);
+                m.conn_rejected.inc();
+            }
+        }
+    });
 }
 
 /// Writes one frame and closes the write side so the peer sees clean
@@ -449,26 +418,6 @@ fn reject_busy(mut stream: TcpStream) {
                 let _ = io::copy(&mut drain, &mut io::sink());
             }
         });
-}
-
-/// Claims connections until the acceptor is gone. After shutdown the
-/// handlers keep draining queued connections, so no accepted client
-/// hangs; `recv()` errors once the queue is empty and the acceptor has
-/// dropped the sender.
-fn handler_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
-    let m = &shared.meters;
-    loop {
-        // Hold the receiver lock only for the claim, never across a
-        // connection.
-        let stream = {
-            let guard = lock_unpoisoned(rx);
-            guard.recv()
-        };
-        let Ok(stream) = stream else { return };
-        m.active.add(1);
-        serve_connection(shared, stream);
-        m.active.add(-1);
-    }
 }
 
 /// Serves one connection until EOF, an unrecoverable frame error,
@@ -506,7 +455,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         // peer trickling a byte per poll window is evicted instead of
         // pinning the handler (slow-loris).
         let mut frame = shared.bounded(&stream, config.frame_deadline);
-        match read_frame(&mut frame, config.max_frame_bytes) {
+        match read_frame(&mut frame, MAX_FRAME_BYTES) {
             Ok(None) => return,
             Ok(Some(payload)) => {
                 m.frames_in.inc();
@@ -562,50 +511,35 @@ fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool
             m.protocol_errors.inc();
             encode_protocol_error(&e.to_string())
         }
-        Ok(wire) => {
-            let bytes = wire.stream.len() as i64;
-            if !shared.try_admit(bytes) {
-                // Admission budget exhausted: shed with the same
-                // retryable-busy answer as a full queue (clients
-                // already back off on it), and tally the shed
-                // separately for observability.
-                m.busy.inc();
-                m.admission_rejected.inc();
-                encode_busy()
-            } else {
-                let outcome = shared
-                    .service
-                    .submit_wait(wire.stream, wire.request, shared.config.submit_timeout)
-                    .and_then(crate::service::Ticket::wait);
-                m.inflight_bytes.add(-bytes);
-                match outcome {
-                    Ok(resp) if resp.image.num_components() > MAX_WIRE_COMPONENTS => {
-                        // SIZ admits up to 65 535 components; the OK
-                        // response counts them in one byte. Answer a
-                        // decode failure the client can read, not a
-                        // frame it would misparse.
-                        m.failed.inc();
-                        encode_component_limit(resp.image.num_components())
-                    }
-                    Ok(resp) => {
-                        m.ok.inc();
-                        let report = resp.report.as_ref().map(WireReport::summarise);
-                        encode_ok(&resp.image, report.as_ref(), resp.served_from)
-                    }
-                    Err(err) => {
-                        match &err {
-                            ServiceError::QueueFull => &m.busy,
-                            ServiceError::DeadlineExceeded => &m.expired,
-                            ServiceError::Decode(_) => &m.failed,
-                            ServiceError::ShuttingDown => &m.refused,
-                            _ => &m.internal,
-                        }
-                        .inc();
-                        encode_service_error(&err)
-                    }
-                }
+        Ok(wire) => match shared
+            .service
+            .submit_wait(wire.stream, wire.request, shared.config.submit_timeout)
+            .and_then(Ticket::wait)
+        {
+            Ok(resp) if resp.image.num_components() > MAX_WIRE_COMPONENTS => {
+                // SIZ admits up to 65 535 components; the OK response
+                // counts them in one byte. Answer a decode failure the
+                // client can read, not a frame it would misparse.
+                m.failed.inc();
+                encode_component_limit(resp.image.num_components())
             }
-        }
+            Ok(resp) => {
+                m.ok.inc();
+                let report = resp.report.as_ref().map(WireReport::summarise);
+                encode_ok(&resp.image, report.as_ref(), resp.served_from)
+            }
+            Err(err) => {
+                match &err {
+                    ServiceError::QueueFull => &m.busy,
+                    ServiceError::DeadlineExceeded => &m.expired,
+                    ServiceError::Decode(_) => &m.failed,
+                    ServiceError::ShuttingDown => &m.refused,
+                    _ => &m.internal,
+                }
+                .inc();
+                encode_service_error(&err)
+            }
+        },
     };
     m.latency.observe(sim_time(started.elapsed()));
     match write_frame(stream, &response) {
@@ -789,59 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn saturated_handler_pool_answers_busy_at_the_acceptor() {
-        // One handler, zero backlog-slack: while it is pinned by a slow
-        // client, further connections get an immediate busy frame.
-        let service = small_service(1, 4);
-        let server = start(
-            Arc::clone(&service),
-            ServerConfig {
-                handler_threads: 1,
-                backlog: 1,
-                ..ServerConfig::default()
-            },
-        );
-        let addr = server.local_addr();
-        // Pin the only handler with an open, idle connection...
-        let pin = std::net::TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.active_connections(), 1, "handler claimed pin");
-        // ...and fill the single backlog slot with another.
-        let fill = std::net::TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().accepted < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.stats().accepted, 2, "pin+fill accepted");
-        // Now a retrying client must see busy frames until it gives up.
-        let mut victim = Client::connect(addr).unwrap();
-        let (_, bytes) = lossless_stream(16);
-        let err = victim
-            .decode_retry(
-                &Request::strict(),
-                &bytes,
-                &NetRetryPolicy {
-                    max_retries: 2,
-                    backoff_base: Duration::from_millis(1),
-                    ..NetRetryPolicy::default()
-                },
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, NetError::RetriesExhausted { attempts: 3 }),
-            "{err:?}"
-        );
-        drop(pin);
-        drop(fill);
-        let stats = server.shutdown();
-        assert!(stats.conn_rejected >= 3, "{stats:?}");
-        assert!(stats.reconciles(), "{stats:?}");
-    }
-
-    #[test]
     fn metrics_mirror_the_stats_exactly() {
         let registry = MetricsRegistry::new();
         let service = Arc::new(DecodeService::new(ServiceConfig {
@@ -949,7 +830,6 @@ mod tests {
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 1,
-                poll_interval: Duration::from_millis(20),
                 frame_deadline: Duration::from_millis(150),
                 ..ServerConfig::default()
             },
@@ -994,7 +874,6 @@ mod tests {
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 2,
-                poll_interval: Duration::from_millis(10),
                 idle_timeout: Duration::from_millis(120),
                 metrics: Some(registry.clone()),
                 ..ServerConfig::default()
@@ -1028,44 +907,49 @@ mod tests {
         );
     }
 
-    /// With no backlog, the acceptor hands a connection only to a
-    /// handler already waiting for one, so open connections are capped
-    /// at `handler_threads`: while the only handler is pinned, the next
-    /// client is shed at the door with a busy frame.
+    /// With one handler, a second connection is shed at the door with a
+    /// busy frame while the first stays open, and a retrying client
+    /// sees busy frames until its budget runs out.
     #[test]
-    fn zero_backlog_sheds_with_a_busy_frame() {
+    fn handler_cap_answers_busy_at_the_acceptor() {
         let registry = MetricsRegistry::new();
         let server = start(
             small_service(1, 4),
             ServerConfig {
                 handler_threads: 1,
-                backlog: 0,
                 metrics: Some(registry.clone()),
                 ..ServerConfig::default()
             },
         );
         let addr = server.local_addr();
-        // Pin the only handler with an idle connection. One that arrives
-        // before the handler waits for it is shed too, so dial again
-        // until one is claimed.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let _pin = loop {
-            let pin = std::net::TcpStream::connect(addr).unwrap();
-            let claimed = Instant::now() + Duration::from_millis(250);
-            while server.active_connections() < 1 && Instant::now() < claimed {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if server.active_connections() == 1 {
-                break pin;
-            }
-            assert!(Instant::now() < deadline, "no connection was claimed");
-        };
-        let (_, bytes) = lossless_stream(21);
+        // Pin the only handler with an idle connection. The acceptor
+        // takes connections in order, so the pin holds the handler by
+        // the time the next client is answered.
+        let pin = std::net::TcpStream::connect(addr).unwrap();
+        let (_, bytes) = lossless_stream(16);
         let mut victim = Client::connect(addr).unwrap();
         let err = victim.request(&Request::strict(), &bytes).unwrap_err();
         assert!(matches!(err, NetError::Busy), "{err:?}");
+        assert_eq!(server.active_connections(), 1, "the pin holds the handler");
+        let mut retrier = Client::connect(addr).unwrap();
+        let err = retrier
+            .decode_retry(
+                &Request::strict(),
+                &bytes,
+                &NetRetryPolicy {
+                    max_retries: 2,
+                    backoff_base: Duration::from_millis(1),
+                    ..NetRetryPolicy::default()
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, NetError::RetriesExhausted { attempts: 3 }),
+            "{err:?}"
+        );
+        drop(pin);
         let stats = server.shutdown();
-        assert!(stats.conn_rejected >= 1, "{stats:?}");
+        assert!(stats.conn_rejected >= 3, "{stats:?}");
         assert!(stats.reconciles(), "{stats:?}");
         let snap = registry.snapshot();
         assert_eq!(
@@ -1075,59 +959,45 @@ mod tests {
         assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
     }
 
+    /// Regression: with the default config, a connection past the four
+    /// handlers used to wait in a 16-slot hand-off queue until a
+    /// handler freed up, so a fifth client next to four persistent ones
+    /// got no answer at all. The acceptor now answers it busy, and
+    /// serves it once one of the four leaves.
     #[test]
-    fn admission_budget_sheds_oversized_inflight_as_busy() {
-        let registry = MetricsRegistry::new();
+    fn connection_past_the_handler_cap_is_answered_busy_not_starved() {
+        let server = start(small_service(1, 8), ServerConfig::default());
+        let addr = server.local_addr();
         let (img, bytes) = lossless_stream(22);
-        let server = start(
-            small_service(1, 4),
-            ServerConfig {
-                // Budget below one request: everything is shed.
-                max_inflight_bytes: bytes.len() - 1,
-                metrics: Some(registry.clone()),
-                ..ServerConfig::default()
-            },
-        );
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let err = client.request(&Request::strict(), &bytes).unwrap_err();
+        let mut held: Vec<Client> = (0..ServerConfig::default().handler_threads)
+            .map(|_| {
+                let mut client = Client::connect(addr).unwrap();
+                assert_eq!(
+                    client.request(&Request::strict(), &bytes).unwrap().image,
+                    img
+                );
+                client
+            })
+            .collect();
+        let mut fifth = Client::connect(addr)
+            .unwrap()
+            .op_deadline(Duration::from_secs(3));
+        let err = fifth.request(&Request::strict(), &bytes).unwrap_err();
         assert!(matches!(err, NetError::Busy), "{err:?}");
+        // The busy answer closed that connection, so the fifth client
+        // dials again; its retries absorb busy answers until the
+        // departing client's handler has ended.
+        drop(held.pop());
+        let mut fifth = Client::connect(addr).unwrap();
+        let resp = fifth
+            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default())
+            .unwrap();
+        assert_eq!(resp.image, img);
+        drop((held, fifth));
         let stats = server.shutdown();
-        assert_eq!(stats.admission_rejected, 1, "{stats:?}");
-        assert_eq!(stats.busy, 1, "shed requests are busy answers");
+        assert_eq!(stats.ok, 5, "{stats:?}");
+        assert!(stats.conn_rejected >= 1, "{stats:?}");
         assert!(stats.reconciles(), "{stats:?}");
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counters.get("server.admission_rejected").copied(),
-            Some(1)
-        );
-        // Nothing was admitted, so nothing is in flight.
-        assert!(
-            matches!(
-                snap.gauges.get("server.inflight_bytes").copied(),
-                None | Some(0)
-            ),
-            "{snap:?}"
-        );
-
-        // With the budget exactly at the request size, it decodes — and
-        // so it does under the largest budget, which no i64 holds.
-        for max_inflight_bytes in [bytes.len(), usize::MAX] {
-            let server = start(
-                small_service(1, 4),
-                ServerConfig {
-                    max_inflight_bytes,
-                    ..ServerConfig::default()
-                },
-            );
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            assert_eq!(
-                client.request(&Request::strict(), &bytes).unwrap().image,
-                img
-            );
-            let stats = server.shutdown();
-            assert_eq!(stats.admission_rejected, 0, "{stats:?}");
-            assert!(stats.reconciles(), "{stats:?}");
-        }
     }
 
     /// An 8×8 8-bit stream with `n` components, no DWT levels and one

@@ -561,8 +561,8 @@ impl Gate {
 
 /// Everything the submitters and workers coordinate on, behind the one
 /// `state` lock: a submission checks the flights, the shutdown flag and
-/// the queue — and records its bytes and the queue depth — in one
-/// critical section, so no worker can see a job before its accounting.
+/// the queue — and records the queue depth — in one critical section,
+/// so no worker can see a job before its accounting.
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
@@ -607,10 +607,6 @@ pub struct ServiceStats {
     pub image_evictions: u64,
     /// High-water mark of the submission queue.
     pub max_queue_depth: u64,
-    /// High-water mark of request bytes concurrently in flight
-    /// (accepted into the queue or being decoded) — the quantity the
-    /// server's admission budget bounds upstream.
-    pub max_inflight_bytes: u64,
 }
 
 impl ServiceStats {
@@ -630,7 +626,6 @@ impl ServiceStats {
 /// [`DecodeService::stats`].
 struct Meters {
     queue_depth: Gauge,
-    inflight_bytes: Gauge,
     singleflight_inflight: Gauge,
     queue_wait: Histogram,
     service_time: Histogram,
@@ -653,7 +648,6 @@ impl Meters {
     fn new(reg: &MetricsRegistry) -> Self {
         Meters {
             queue_depth: reg.gauge("service.queue.depth"),
-            inflight_bytes: reg.gauge("service.inflight_bytes"),
             singleflight_inflight: reg.gauge("service.singleflight_inflight"),
             queue_wait: reg.histogram("service.queue_wait"),
             service_time: reg.histogram("service.service_time"),
@@ -684,10 +678,8 @@ struct Shared {
     header_cache: Mutex<LruCache<(StreamKey, bool), CachedHeader>>,
     image_cache: Mutex<LruCache<(StreamKey, RequestKind), CachedImage>>,
     meters: Meters,
-    /// High-water marks of the queue depth and of the in-flight bytes
-    /// (the `service.queue.depth` and `service.inflight_bytes` gauges).
+    /// High-water mark of the `service.queue.depth` gauge.
     max_queue_depth: AtomicU64,
-    max_inflight_bytes: AtomicU64,
 }
 
 impl Shared {
@@ -776,7 +768,6 @@ impl DecodeService {
             image_cache: Mutex::new(LruCache::new(config.image_cache_bytes)),
             meters: Meters::new(&config.metrics.unwrap_or_default()),
             max_queue_depth: AtomicU64::new(0),
-            max_inflight_bytes: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -932,10 +923,6 @@ impl DecodeService {
                 // drops.
                 state.flights.insert(fkey, vec![waiter]);
                 m.singleflight_inflight.set(state.flights.len() as i64);
-                let inflight = m.inflight_bytes.add(job.stream.len() as i64);
-                shared
-                    .max_inflight_bytes
-                    .fetch_max(inflight as u64, Ordering::Relaxed);
                 state.queue.push_back(job);
                 let depth = state.queue.len();
                 m.queue_depth.set(depth as i64);
@@ -985,7 +972,6 @@ impl DecodeService {
             image_misses: m.image_misses.get(),
             image_evictions: m.image_evictions.get(),
             max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
-            max_inflight_bytes: self.shared.max_inflight_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -1128,7 +1114,6 @@ fn handle(shared: &Shared, job: Job, scratch: &mut DecodeScratch) {
             }
         }
     }
-    m.inflight_bytes.add(-(job.stream.len() as i64));
 }
 
 type Served = (Arc<Image>, Option<DecodeReport>, ServedFrom);
@@ -1708,14 +1693,6 @@ mod tests {
             .map(|h| h.count())
             .unwrap_or_default();
         assert_eq!(wait_samples, stats.submitted);
-        // In-flight byte accounting: the high-water mark saw at least
-        // one whole request, and everything drained by shutdown.
-        assert!(
-            stats.max_inflight_bytes >= bytes.len() as u64,
-            "{stats:?} vs {} request bytes",
-            bytes.len()
-        );
-        assert_eq!(snap.gauges.get("service.inflight_bytes").copied(), Some(0));
     }
 
     #[test]

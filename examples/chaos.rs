@@ -38,7 +38,6 @@ fn main() {
         "127.0.0.1:0",
         ServerConfig {
             handler_threads: 4,
-            poll_interval: Duration::from_millis(10),
             frame_deadline: Duration::from_millis(250),
             ..ServerConfig::default()
         },

@@ -93,14 +93,12 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
         "127.0.0.1:0",
         ServerConfig {
             handler_threads: CLIENTS + 1,
-            poll_interval: Duration::from_millis(10),
             submit_timeout: Duration::from_millis(100),
             // Tight enough that a stalled chaotic peer is evicted well
             // inside the soak budget.
             frame_deadline: Duration::from_millis(500),
             idle_timeout: Duration::from_secs(5),
             metrics: Some(registry.clone()),
-            ..ServerConfig::default()
         },
     )
     .expect("bind server");
@@ -203,11 +201,8 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
     // Invariant 2: accounting holds under fire.
     assert!(server_stats.reconciles(), "server: {server_stats:?}");
     assert!(svc.reconciles(), "service: {svc:?}");
-    // Every server-resolved request was either its own service
-    // submission or coalesced onto an identical in-flight one.
-    assert_eq!(
-        svc.submitted + svc.coalesced,
-        server_stats.ok + server_stats.expired + server_stats.failed + server_stats.internal,
+    assert!(
+        server_stats.reconciles_with(&svc),
         "cross-family identity: service {svc:?} vs server {server_stats:?}"
     );
     let snap = registry.snapshot();
@@ -222,19 +217,14 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
         ("server.frame_timeouts", server_stats.frame_timeouts),
         ("server.idle_reaped", server_stats.idle_reaped),
         ("server.conn_rejected", server_stats.conn_rejected),
-        ("server.admission_rejected", server_stats.admission_rejected),
         ("service.submitted", svc.submitted),
         ("service.coalesced", svc.coalesced),
         ("service.completed", svc.completed),
     ] {
         assert_eq!(counter(name), value, "{name} mirror drifted");
     }
-    // Nothing left open or in flight once everything shut down.
+    // Nothing left open once everything shut down.
     assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
-    assert!(matches!(
-        snap.gauges.get("server.inflight_bytes").copied(),
-        None | Some(0)
-    ));
 
     let get = |i: usize| totals[i].load(Ordering::Relaxed);
     let outcomes = Outcomes {
@@ -387,7 +377,6 @@ fn clean_clients_survive_alongside_chaotic_ones() {
             "127.0.0.1:0",
             ServerConfig {
                 handler_threads: 4,
-                poll_interval: Duration::from_millis(10),
                 frame_deadline: Duration::from_millis(300),
                 idle_timeout: Duration::from_secs(5),
                 ..ServerConfig::default()

@@ -276,11 +276,9 @@ fn stampede_on_one_hot_stream_reconciles_exactly() {
 
 /// Regression: a cache hit retires in microseconds, so a worker can
 /// claim and retire a job the moment the submitter releases the queue
-/// lock. The job's in-flight bytes and the queue depth must be on the
-/// books before that — recorded after the lock, a retire could
-/// subtract bytes not yet added (an overflow that killed the worker in
-/// debug builds, then hung every later request) and leave the gauges
-/// off zero after the drain.
+/// lock. The job's queue depth and flight must be on the books before
+/// that — recorded after the lock, a retire could run first and leave
+/// the gauges off zero after the drain.
 #[test]
 fn cache_hit_flood_keeps_the_books_exact() {
     const CLIENTS: usize = 3;
@@ -327,11 +325,7 @@ fn cache_hit_flood_keeps_the_books_exact() {
         (streams.len() + CLIENTS * ITERS) as u64
     );
     let snap = registry.snapshot();
-    for gauge in [
-        "service.queue.depth",
-        "service.inflight_bytes",
-        "service.singleflight_inflight",
-    ] {
+    for gauge in ["service.queue.depth", "service.singleflight_inflight"] {
         assert_eq!(snap.gauges.get(gauge).copied(), Some(0), "{gauge}");
     }
     let expected = [
