@@ -46,7 +46,9 @@
 //! relays all wait through one crate-private deadline adapter, which
 //! races an absolute deadline and, optionally, a shutdown flag. After a
 //! transport failure the client retires its socket, so a late reply is
-//! never read as the answer to the next request. [`Client::decode_retry`]
+//! never read as the answer to the next request, and after a busy
+//! answer, which the server's acceptor follows with a close; the next
+//! request dials a fresh socket. [`Client::decode_retry`]
 //! and [`Client::decode_retry_guarded`] share one retry loop; the second
 //! adds a [`CircuitBreaker`].
 
@@ -1089,6 +1091,9 @@ pub struct Client {
     stream: TcpStream,
     addr: SocketAddr,
     op_deadline: Option<Duration>,
+    /// The socket was retired (see [`Self::request`]); the next request
+    /// dials a fresh one first.
+    retired: bool,
 }
 
 impl Client {
@@ -1105,6 +1110,7 @@ impl Client {
             stream,
             addr,
             op_deadline: None,
+            retired: false,
         })
     }
 
@@ -1136,23 +1142,38 @@ impl Client {
 
     /// Sends one decode request and blocks for the response.
     ///
-    /// After a transport failure ([`NetError::Timeout`] or
-    /// [`NetError::Wire`]) the socket may still deliver this request's
-    /// late reply, which the next request would read as its own. So the
-    /// client retires the socket and dials a fresh one; if the dial
-    /// fails, the next request fails on the retired socket and dials
-    /// again.
+    /// The client retires its socket after three outcomes, and the next
+    /// request dials a fresh one before it sends:
+    ///
+    /// * a transport failure ([`NetError::Timeout`] or
+    ///   [`NetError::Wire`]): the socket may still deliver this
+    ///   request's late reply, which the next request would read as its
+    ///   own;
+    /// * [`NetError::Busy`]: the server's acceptor closes a connection
+    ///   right after its busy frame, and that frame is byte-identical to
+    ///   a handler's busy answer, so the client cannot tell whether the
+    ///   socket still works.
+    ///
+    /// A retired client that stays idle holds no connection, so a caller
+    /// that gives up after a busy answer leaves no handler pinned.
     ///
     /// # Errors
     ///
     /// The full [`NetError`] taxonomy; [`NetError::Busy`] is the
     /// retryable one, and [`NetError::Timeout`] reports an elapsed
-    /// [`Self::op_deadline`].
+    /// [`Self::op_deadline`]. A failed dial is a [`NetError::Wire`]
+    /// error, and the request after it dials again.
     pub fn request(&mut self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
+        if self.retired {
+            self.reconnect()?;
+        }
         let result = self.exchange(request, stream);
-        if matches!(result, Err(NetError::Timeout | NetError::Wire(_))) {
+        if matches!(
+            result,
+            Err(NetError::Busy | NetError::Timeout | NetError::Wire(_))
+        ) {
             let _ = self.stream.shutdown(Shutdown::Both);
-            let _ = self.reconnect();
+            self.retired = true;
         }
         result
     }
@@ -1169,11 +1190,9 @@ impl Client {
     }
 
     /// [`Self::request`], absorbing [`NetError::Busy`] responses under
-    /// `policy`'s deterministic backoff.
-    ///
-    /// A busy answer from the *acceptor* (every handler taken) closes
-    /// the connection after the frame, so each retry runs on a fresh
-    /// connection — transparent to the caller.
+    /// `policy`'s deterministic backoff. Each retry runs on a fresh
+    /// connection, since [`Self::request`] retires its socket after a
+    /// busy answer.
     ///
     /// # Errors
     ///
@@ -1238,7 +1257,6 @@ impl Client {
                 Err(NetError::Busy) if attempt < policy.max_retries => {
                     std::thread::sleep(policy.backoff(attempt));
                     attempt += 1;
-                    self.reconnect()?;
                 }
                 Err(NetError::Busy) => {
                     return Err(NetError::RetriesExhausted {
@@ -1254,6 +1272,7 @@ impl Client {
         let fresh = TcpStream::connect(self.addr)?;
         Self::configure_socket(&fresh)?;
         self.stream = fresh;
+        self.retired = false;
         Ok(())
     }
 }

@@ -25,7 +25,9 @@
 //! handler thread per connection while fewer than
 //! [`ServerConfig::handler_threads`] are open, and answers any other
 //! connection with a busy frame and closes it, so a flood degrades into
-//! explicit retry traffic instead of hung connections. Request bytes:
+//! explicit retry traffic instead of hung connections. Turned-away
+//! connections: at most 16 drain their unread bytes at once, each on a
+//! thread the acceptor joins; the rest close at once. Request bytes:
 //! a handler reads one frame of at most [`MAX_FRAME_BYTES`] at a time.
 //! Decode work: the service's queue — when it is full, `submit_wait`
 //! times out, the handler answers a retryable-busy frame, and
@@ -55,9 +57,9 @@ use crate::sim_time;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 /// Transport write timeout for response frames (handlers, the
@@ -66,6 +68,9 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long a rejected connection's bytes are drained before close
 /// (see `reject_busy`).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+/// Rejected connections drained at once; past this many, a rejected
+/// connection is answered and closed without a drain.
+const MAX_DRAINS: usize = 16;
 
 /// Tuning knobs for a [`DecodeServer`].
 #[derive(Debug, Clone)]
@@ -346,10 +351,12 @@ impl Drop for DecodeServer {
 
 /// Accepts connections until shutdown, starting a handler thread for
 /// each while fewer than `handler_threads` are open and answering the
-/// rest busy. The scope joins every handler before this returns.
+/// rest busy. The scope joins every handler and every drain before
+/// this returns.
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
     let m = &shared.meters;
     let cap = shared.config.handler_threads.max(1) as i64;
+    let draining = AtomicUsize::new(0);
     std::thread::scope(|scope| loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -359,7 +366,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
         if shared.shutdown.load(Ordering::SeqCst) {
             // The shutdown wake-up connection (or a late client):
             // refuse and stop.
-            let _ = respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
+            let _ = respond_and_close(&stream, &encode_service_error(&ServiceError::ShuttingDown));
             return;
         }
         // Only this thread raises the count, so the cap is exact; it
@@ -369,7 +376,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
             // Answer busy and close so the client retries with backoff
             // instead of waiting unseen for a handler.
             m.conn_rejected.inc();
-            reject_busy(stream);
+            reject_busy(scope, shared, &draining, stream);
             continue;
         }
         m.active.add(1);
@@ -393,31 +400,48 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 
 /// Writes one frame and closes the write side so the peer sees clean
 /// EOF after it.
-fn respond_and_close(mut stream: TcpStream, payload: &[u8]) -> io::Result<()> {
+fn respond_and_close(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    write_frame(&mut stream, payload)?;
+    write_frame(&mut &*stream, payload)?;
     stream.shutdown(Shutdown::Write)
 }
 
-/// Rejects a connection with a busy frame, *gracefully*: the client
+/// Rejects a connection with a busy frame, *gracefully* while fewer
+/// than [`MAX_DRAINS`] rejected connections are draining: the client
 /// may already have a request in flight, and closing with unread data
-/// queued provokes a TCP reset that discards the busy frame on the
-/// client side. So the frame goes out, the write side closes (FIN),
-/// and a short detached thread drains the client's bytes until it
-/// hangs up or [`DRAIN_DEADLINE`] passes — never blocking the
-/// acceptor, never resetting the peer.
-fn reject_busy(mut stream: TcpStream) {
-    let _ = std::thread::Builder::new()
+/// queued provokes a TCP reset that can discard the busy frame on the
+/// client side. So the frame goes out (a few bytes into the empty send
+/// buffer of a fresh socket, which does not block the acceptor), the
+/// write side closes (FIN), and a thread in the acceptor's scope drains
+/// the client's bytes until it hangs up, [`DRAIN_DEADLINE`] passes or
+/// the server shuts down. Past the bound the connection closes at once,
+/// so a flood costs at most [`MAX_DRAINS`] threads, each joined at
+/// shutdown.
+fn reject_busy<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    shared: &'scope Shared,
+    draining: &'scope AtomicUsize,
+    stream: TcpStream,
+) {
+    // Only the acceptor raises the count, so the bound is exact.
+    if respond_and_close(&stream, &encode_busy()).is_err()
+        || draining.load(Ordering::SeqCst) >= MAX_DRAINS
+    {
+        return;
+    }
+    draining.fetch_add(1, Ordering::SeqCst);
+    let drain = std::thread::Builder::new()
         .name("decode-net-reject".into())
-        .spawn(move || {
-            if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_ok()
-                && write_frame(&mut stream, &encode_busy()).is_ok()
-                && stream.shutdown(Shutdown::Write).is_ok()
-            {
-                let mut drain = Deadline::new(&stream, Some(Instant::now() + DRAIN_DEADLINE));
-                let _ = io::copy(&mut drain, &mut io::sink());
-            }
+        .spawn_scoped(scope, move || {
+            let _ = io::copy(
+                &mut shared.bounded(&stream, DRAIN_DEADLINE),
+                &mut io::sink(),
+            );
+            draining.fetch_sub(1, Ordering::SeqCst);
         });
+    if drain.is_err() {
+        draining.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Serves one connection until EOF, an unrecoverable frame error,
@@ -446,7 +470,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => {
                 // Tell a quiet peer why it is being closed.
                 let _ =
-                    respond_and_close(stream, &encode_service_error(&ServiceError::ShuttingDown));
+                    respond_and_close(&stream, &encode_service_error(&ServiceError::ShuttingDown));
                 return;
             }
             Err(_) => return,
@@ -469,7 +493,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 // the error frame is best-effort.)
                 m.frame_timeouts.inc();
                 let _ = respond_and_close(
-                    stream,
+                    &stream,
                     &encode_protocol_error("whole-frame read deadline exceeded"),
                 );
                 return;
@@ -479,14 +503,14 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 // sync — but its content is untrustworthy. Report and
                 // close.
                 m.crc_rejects.inc();
-                let _ = respond_and_close(stream, &encode_protocol_error("frame crc mismatch"));
+                let _ = respond_and_close(&stream, &encode_protocol_error("frame crc mismatch"));
                 return;
             }
             Err(e @ (WireError::BadMagic(_) | WireError::Oversized { .. })) => {
                 // Framing is lost; no way to find the next frame
                 // boundary. Report and close.
                 m.frame_rejects.inc();
-                let _ = respond_and_close(stream, &encode_protocol_error(&e.to_string()));
+                let _ = respond_and_close(&stream, &encode_protocol_error(&e.to_string()));
                 return;
             }
             Err(_) => {
@@ -996,6 +1020,39 @@ mod tests {
         drop((held, fifth));
         let stats = server.shutdown();
         assert_eq!(stats.ok, 5, "{stats:?}");
+        assert!(stats.conn_rejected >= 1, "{stats:?}");
+        assert!(stats.reconciles(), "{stats:?}");
+    }
+
+    /// Regression: the acceptor follows its busy frame with a FIN, and
+    /// the client used to keep that socket after `Busy`, so its next
+    /// request read EOF and failed `Wire(Truncated)` instead of being
+    /// retried. The client now retires its socket after any busy answer.
+    #[test]
+    fn a_client_turned_away_busy_is_served_once_a_handler_frees() {
+        let server = start(
+            small_service(1, 4),
+            ServerConfig {
+                handler_threads: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let addr = server.local_addr();
+        // The acceptor takes connections in order, so the pin holds the
+        // only handler by the time the client's connection is answered.
+        let pin = std::net::TcpStream::connect(addr).unwrap();
+        let (img, bytes) = lossless_stream(23);
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request(&Request::strict(), &bytes).unwrap_err();
+        assert!(matches!(err, NetError::Busy), "{err:?}");
+        drop(pin);
+        let resp = client
+            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default())
+            .unwrap();
+        assert_eq!(resp.image, img);
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!(stats.ok, 1, "{stats:?}");
         assert!(stats.conn_rejected >= 1, "{stats:?}");
         assert!(stats.reconciles(), "{stats:?}");
     }

@@ -17,10 +17,17 @@
 //! * **Deadlines and cancellation** — per-request deadlines and
 //!   cooperative cancellation, both checked at tile granularity, so an
 //!   abandoned request stops burning a worker mid-image.
-//! * **Two-level LRU cache** keyed by a content hash of the stream:
-//!   parsed headers (a [`StagedDecoder`] reused across repeat decodes
-//!   of the same stream) and full decoded images, each with its own
-//!   byte budget and least-recently-used eviction.
+//! * **Two-level LRU cache** keyed by a content hash of the stream —
+//!   a polynomial hash over GF(2^61 − 1) under two keys drawn at
+//!   random per service, so even crafted streams collide only with
+//!   negligible probability: parsed headers (a [`StagedDecoder`]
+//!   reused across repeat decodes of the same stream) and full decoded
+//!   images, each with its own byte budget and least-recently-used
+//!   eviction.
+//! * **Inline hits** — an image-cache hit is served inside `submit`,
+//!   on the caller's thread, before any job exists: no queue slot, no
+//!   worker hand-off, never [`ServiceError::QueueFull`]. A miss takes
+//!   the queue, whose worker looks in the cache again.
 //! * **Single-flight coalescing** — while a decode for a given
 //!   `(stream, kind)` is queued or running, identical submissions
 //!   attach to it as followers and share the leader's result
@@ -63,6 +70,7 @@ use crate::sim_time;
 use osss_sim::lock_unpoisoned;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, RandomState};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -160,9 +168,10 @@ impl RequestKind {
 pub struct Request {
     /// The decode variant.
     pub kind: RequestKind,
-    /// Whole-request deadline, measured from submission. Checked when
-    /// the request is claimed and before each tile; an expired request
-    /// resolves to [`ServiceError::DeadlineExceeded`].
+    /// Whole-request deadline, measured from submission. Checked before
+    /// an inline cache hit, when the request is claimed (before the
+    /// worker's cache lookup) and before each tile; an expired request
+    /// resolves to [`ServiceError::DeadlineExceeded`], cached or not.
     pub timeout: Option<Duration>,
 }
 
@@ -271,9 +280,11 @@ pub struct ServiceResponse {
     pub report: Option<DecodeReport>,
     /// Which cache level (if any) served the request.
     pub served_from: ServedFrom,
-    /// Time spent queued before a worker claimed the request.
+    /// Time spent queued before a worker claimed the request; zero for
+    /// an image-cache hit served inline by `submit`.
     pub queue_wait: Duration,
-    /// Time the worker spent on the request.
+    /// Time the worker spent on the request, or for an inline hit the
+    /// submitter's image-cache lookup.
     pub service_time: Duration,
 }
 
@@ -333,13 +344,14 @@ impl Ticket {
 // Content-hash key and LRU cache
 // ---------------------------------------------------------------------------
 
-/// Content identity of a codestream: length plus two independent
-/// FNV-1a-style hashes (different multipliers), computed in one pass.
-/// A collision would serve the wrong picture from a cache that returns
-/// *images*, so the key is 160 bits wide, which makes an *accidental*
-/// collision negligible. It does not stop a crafted one: both
-/// multipliers are public and nothing is keyed, so an attacker can
-/// search for colliding streams offline.
+/// Content identity of a codestream: its length plus two keyed
+/// polynomial hashes, one per [`StreamHasher`] key. A collision would
+/// serve the wrong picture from a cache that returns *images*. Two
+/// distinct streams of equal length, `n` chunks of 7 bytes, collide
+/// with probability at most `((n − 1) / 2^61)²` over the service's
+/// secret keys — about 2^-98 for a 25 KB stream — whether the streams
+/// were chosen by accident or by someone searching offline, who sees
+/// neither key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StreamKey {
     len: usize,
@@ -347,18 +359,101 @@ struct StreamKey {
     h2: u64,
 }
 
-impl StreamKey {
-    fn of(bytes: &[u8]) -> Self {
-        let (mut h1, mut h2) = (0xcbf29ce484222325u64, 0xcbf29ce484222325u64);
-        for &b in bytes {
-            h1 = (h1 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-            h2 = (h2 ^ u64::from(b)).wrapping_mul(0x100000001b5);
+/// The Mersenne prime 2^61 − 1, the field of the content hash.
+const P61: u64 = (1 << 61) - 1;
+
+/// The content hash behind [`StreamKey`]: Carter & Wegman's polynomial
+/// universal hash over GF(2^61 − 1), under two secret keys drawn once
+/// per service. The stream is cut into 7-byte little-endian chunks
+/// `m₀ … mₙ₋₁` (the last one zero-padded) and each key `k` yields
+/// Horner's `h ← h·k + mᵢ (mod 2^61 − 1)`, i.e. `Σ mᵢ·k^(n−1−i)`.
+///
+/// No `Debug`: the keys must never reach a log, a metric or the wire.
+struct StreamHasher {
+    /// Two evaluation points in `[1, 2^61 − 1)`.
+    keys: [u64; 2],
+}
+
+impl StreamHasher {
+    /// Draws both keys from the process's [`RandomState`] seed.
+    fn random() -> Self {
+        let state = RandomState::new();
+        StreamHasher {
+            keys: [0u64, 1].map(|i| 1 + state.hash_one(i) % (P61 - 1)),
         }
+    }
+
+    /// The key of `bytes`. Each hash runs in four lanes over `k⁴`
+    /// (lane `j` takes chunks `j, j + 4, …` of the whole 28-byte
+    /// blocks), recombined as `lane₀·k³ + lane₁·k² + lane₂·k + lane₃`,
+    /// then finishes the tail chunks by Horner — the same polynomial,
+    /// with eight independent multiply chains instead of two.
+    fn key(&self, bytes: &[u8]) -> StreamKey {
+        let k4 = self.keys.map(|k| {
+            let k2 = canonical(mul_lazy(k, k));
+            canonical(mul_lazy(k2, k2))
+        });
+        let mut lanes = [[0u64; 4]; 2];
+        let (blocks, tail) = bytes.as_chunks::<28>();
+        for block in blocks {
+            let word = |at: usize| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(&block[at..at + 8]);
+                u64::from_le_bytes(w)
+            };
+            let m = [
+                word(0) & CHUNK_MASK,
+                word(7) & CHUNK_MASK,
+                word(14) & CHUNK_MASK,
+                word(20) >> 8,
+            ];
+            for (lane, &k4) in lanes.iter_mut().zip(&k4) {
+                for (l, &m) in lane.iter_mut().zip(&m) {
+                    *l = mul_lazy(*l, k4) + m;
+                }
+            }
+        }
+        let [h1, h2] = [0, 1].map(|i| {
+            let k = self.keys[i];
+            let h = lanes[i].iter().fold(0, |h, &l| mul_lazy(h, k) + l);
+            canonical(tail.chunks(7).fold(h, |h, c| mul_lazy(h, k) + chunk(c)))
+        });
         StreamKey {
             len: bytes.len(),
             h1,
             h2,
         }
+    }
+}
+
+/// The low 56 bits: one 7-byte chunk of an 8-byte little-endian load.
+const CHUNK_MASK: u64 = (1 << 56) - 1;
+
+/// A chunk of at most 7 bytes, little-endian, zero-padded.
+fn chunk(c: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..c.len()].copy_from_slice(c);
+    u64::from_le_bytes(w)
+}
+
+/// `a·b mod 2^61 − 1`, reduced lazily to `[0, 2^61 + 5)` for
+/// `a < 2^63`, `b < 2^61`. A lane stays below `2^62` from step to step
+/// (`2^61 + 5` plus a chunk below `2^56`); only the final value is made
+/// canonical.
+fn mul_lazy(a: u64, b: u64) -> u64 {
+    let x = u128::from(a) * u128::from(b);
+    // 2^61 ≡ 1, so fold the bits above 61 onto the low ones, twice.
+    let s = (x as u64 & P61) + (x >> 61) as u64;
+    (s & P61) + (s >> 61)
+}
+
+/// The representative in `[0, 2^61 − 1)` of `x < 2^63`.
+fn canonical(x: u64) -> u64 {
+    let s = (x & P61) + (x >> 61);
+    if s >= P61 {
+        s - P61
+    } else {
+        s
     }
 }
 
@@ -560,22 +655,24 @@ impl Gate {
 }
 
 /// Everything the submitters and workers coordinate on, behind the one
-/// `state` lock: a submission checks the flights, the shutdown flag and
-/// the queue — and records the queue depth — in one critical section,
-/// so no worker can see a job before its accounting.
+/// `state` lock: a submission checks the flights, the shutdown flag
+/// ([`Shared::shutting_down`], raised only under this lock) and the
+/// queue — and records the queue depth — in one critical section, so
+/// no worker can see a job before its accounting.
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
     /// Single-flight groups: one entry per queued-or-decoding job,
     /// holding every requester awaiting that job's result.
     flights: HashMap<FlightKey, Vec<Waiter>>,
-    shutting_down: bool,
 }
 
 /// Point-in-time service accounting, from [`DecodeService::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued as a new flight, or served inline as
+    /// an image-cache hit (also counted in `image_hits` and
+    /// `completed`).
     pub submitted: u64,
     /// Requests that attached to an identical in-flight submission
     /// (single-flight coalescing) instead of queueing their own job.
@@ -675,6 +772,11 @@ struct Shared {
     /// Signalled when queue space frees up (`submit_wait` waits here).
     space: Condvar,
     capacity: usize,
+    /// Set once shutdown begins. Raised under the `state` lock, so the
+    /// workers and the queue path, which read it under that lock, never
+    /// miss it; the inline-hit path reads it without the lock.
+    shutting_down: AtomicBool,
+    hasher: StreamHasher,
     header_cache: Mutex<LruCache<(StreamKey, bool), CachedHeader>>,
     image_cache: Mutex<LruCache<(StreamKey, RequestKind), CachedImage>>,
     meters: Meters,
@@ -764,6 +866,8 @@ impl DecodeService {
             work: Condvar::new(),
             space: Condvar::new(),
             capacity: config.queue_capacity,
+            shutting_down: AtomicBool::new(false),
+            hasher: StreamHasher::random(),
             header_cache: Mutex::new(LruCache::new(config.header_cache_bytes)),
             image_cache: Mutex::new(LruCache::new(config.image_cache_bytes)),
             meters: Meters::new(&config.metrics.unwrap_or_default()),
@@ -789,12 +893,15 @@ impl DecodeService {
         self.workers.len()
     }
 
-    /// Submits a request without blocking.
+    /// Submits a request without blocking. An image-cache hit is served
+    /// here, on the caller's thread: its ticket has resolved by the
+    /// time this returns.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::QueueFull`] under backpressure,
-    /// [`ServiceError::ShuttingDown`] after [`Self::shutdown`] began.
+    /// [`ServiceError::QueueFull`] under backpressure (never for an
+    /// image-cache hit), [`ServiceError::ShuttingDown`] after
+    /// [`Self::shutdown`] began.
     pub fn submit(
         &self,
         stream: impl Into<Arc<[u8]>>,
@@ -804,7 +911,8 @@ impl DecodeService {
     }
 
     /// Submits a request, blocking up to `space_timeout` for queue
-    /// space.
+    /// space; an image-cache hit is served at once, as in
+    /// [`Self::submit`].
     ///
     /// # Errors
     ///
@@ -839,11 +947,17 @@ impl DecodeService {
         request: Request,
         space_timeout: Option<Duration>,
     ) -> Result<Ticket, ServiceError> {
-        let key = StreamKey::of(&stream);
+        let key = self.shared.hasher.key(&stream);
         let kind = self.canonical_kind(key, request.kind);
         let now = Instant::now();
+        let deadline = request.timeout.map(|t| now + t);
         let (tx, rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
+        if let Some(hit) = self.serve_hit(key, kind, deadline) {
+            // The receiver is alive, so the send cannot fail.
+            let _ = tx.send(Ok(hit));
+            return Ok(Ticket { rx, cancel });
+        }
         let job = Job {
             stream,
             key,
@@ -856,7 +970,7 @@ impl DecodeService {
             gate: None,
         };
         let waiter = Waiter {
-            deadline: request.timeout.map(|t| now + t),
+            deadline,
             cancel: Arc::clone(&cancel),
             reply: tx,
             enqueued: now,
@@ -864,6 +978,47 @@ impl DecodeService {
         };
         self.enqueue(job, waiter, space_timeout)?;
         Ok(Ticket { rx, cancel })
+    }
+
+    /// Serves an image-cache hit on the caller's thread: no job, waiter,
+    /// flight or queue slot, and no worker hand-off, so a hit is never
+    /// refused [`ServiceError::QueueFull`]. It is tallied like a queued
+    /// request served from the cache — `submitted`, `image_hits` and
+    /// `completed`, one zero queue-wait sample and one service-time
+    /// sample — so [`ServiceStats::reconciles`] is unchanged.
+    ///
+    /// `None` sends the submission down the queue path, counting
+    /// nothing here: on a miss (the worker looks again, catching an
+    /// image inserted since), once shutdown began (the queue path
+    /// refuses it), and when the deadline has already passed (the
+    /// worker's claim-time check, which runs before its cache lookup,
+    /// expires it).
+    fn serve_hit(
+        &self,
+        key: StreamKey,
+        kind: RequestKind,
+        deadline: Option<Instant>,
+    ) -> Option<ServiceResponse> {
+        let shared = &self.shared;
+        let started = Instant::now();
+        if shared.shutting_down.load(Ordering::SeqCst) || deadline.is_some_and(|d| started >= d) {
+            return None;
+        }
+        let hit = lock_unpoisoned(&shared.image_cache).get(&(key, kind))?;
+        let service_time = started.elapsed();
+        let m = &shared.meters;
+        m.submitted.inc();
+        m.image_hits.inc();
+        m.completed.inc();
+        m.queue_wait.observe(sim_time(Duration::ZERO));
+        m.service_time.observe(sim_time(service_time));
+        Some(ServiceResponse {
+            image: hit.image,
+            report: hit.report,
+            served_from: ServedFrom::ImageCache,
+            queue_wait: Duration::ZERO,
+            service_time,
+        })
     }
 
     /// The cache/flight identity of `kind` for this stream: always the
@@ -914,7 +1069,7 @@ impl DecodeService {
                 m.coalesced.inc();
                 return Ok(());
             }
-            if state.shutting_down {
+            if shared.shutting_down.load(Ordering::SeqCst) {
                 return Err(ServiceError::ShuttingDown);
             }
             if state.queue.len() < shared.capacity {
@@ -999,7 +1154,9 @@ impl DecodeService {
     }
 
     fn begin_shutdown(&self) {
-        lock_unpoisoned(&self.shared.state).shutting_down = true;
+        let state = lock_unpoisoned(&self.shared.state);
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        drop(state);
         self.shared.work.notify_all();
         self.shared.space.notify_all();
     }
@@ -1027,7 +1184,7 @@ fn worker_loop(shared: &Shared) {
                     shared.meters.queue_depth.set(state.queue.len() as i64);
                     break job;
                 }
-                if state.shutting_down {
+                if shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
                 state = shared
@@ -1285,7 +1442,7 @@ mod tests {
         panic_at: Option<usize>,
     ) -> Result<Ticket, ServiceError> {
         let stream: Arc<[u8]> = bytes.into();
-        let key = StreamKey::of(&stream);
+        let key = svc.shared.hasher.key(&stream);
         let kind = svc.canonical_kind(key, request.kind);
         let now = Instant::now();
         let (tx, rx) = mpsc::channel();
@@ -1630,12 +1787,84 @@ mod tests {
     #[test]
     fn submissions_after_shutdown_are_refused() {
         let bytes = stream(19);
+        let cached = stream(190);
         let svc = service(small_cfg());
+        svc.decode(&cached[..], Request::strict()).unwrap();
         svc.begin_shutdown();
-        let err = svc.submit(&bytes[..], Request::strict()).unwrap_err();
-        assert_eq!(err, ServiceError::ShuttingDown);
+        // A cached stream is refused too: the inline-hit path reads the
+        // shutdown flag before the cache.
+        for b in [&bytes, &cached] {
+            let err = svc.submit(&b[..], Request::strict()).unwrap_err();
+            assert_eq!(err, ServiceError::ShuttingDown);
+        }
         let stats = svc.shutdown();
-        assert_eq!(stats.submitted, 0);
+        assert_eq!(stats.submitted, 1);
+        assert!(stats.reconciles());
+    }
+
+    /// Regression: an image-cache hit used to queue a job only for a
+    /// worker to read the map, so with the only worker busy and the
+    /// queue full a cached stream was refused `QueueFull`. It is now
+    /// served on the caller's thread.
+    #[test]
+    fn cached_streams_are_served_past_a_full_queue() {
+        let streams: Vec<Vec<u8>> = (60..63).map(stream).collect();
+        let svc = service(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let cold = svc.decode(&streams[0][..], Request::strict()).unwrap();
+        let gate = Arc::new(Gate::default());
+        let _guard = AutoOpen(Arc::clone(&gate));
+        let held = submit_hooked(
+            &svc,
+            &streams[1],
+            Request::strict(),
+            None,
+            Some(Arc::clone(&gate)),
+        )
+        .unwrap();
+        gate.await_arrival();
+        let queued = svc.submit(&streams[2][..], Request::strict()).unwrap();
+        let before = svc.stats();
+        let hit = svc
+            .submit(&streams[0][..], Request::strict())
+            .expect("a hit needs no queue slot")
+            .wait()
+            .unwrap();
+        assert_eq!(hit.served_from, ServedFrom::ImageCache);
+        assert_eq!(hit.queue_wait, Duration::ZERO);
+        assert!(Arc::ptr_eq(&hit.image, &cold.image));
+        let after = svc.stats();
+        assert_eq!(after.rejected, before.rejected);
+        assert_eq!(after.submitted, before.submitted + 1);
+        assert_eq!(after.image_hits, before.image_hits + 1);
+        assert_eq!(after.completed, before.completed + 1);
+        gate.open();
+        held.wait().unwrap();
+        queued.wait().unwrap();
+        let stats = svc.shutdown();
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.max_queue_depth, 1);
+        assert!(stats.reconciles());
+    }
+
+    /// The claim-time deadline check runs before the cache lookup, and
+    /// so does the inline one: a cached stream is no exception.
+    #[test]
+    fn a_cached_stream_past_its_deadline_expires() {
+        let bytes = stream(64);
+        let svc = service(small_cfg());
+        svc.decode(&bytes[..], Request::strict()).unwrap();
+        let late = svc
+            .submit(&bytes[..], Request::strict().with_timeout(Duration::ZERO))
+            .unwrap();
+        assert_eq!(late.wait().unwrap_err(), ServiceError::DeadlineExceeded);
+        let stats = svc.shutdown();
+        assert_eq!(stats.expired, 1);
+        assert_eq!(stats.image_hits, 0);
+        assert!(stats.reconciles());
     }
 
     #[test]
@@ -1697,11 +1926,58 @@ mod tests {
 
     #[test]
     fn stream_key_separates_contents_and_lengths() {
-        let a = StreamKey::of(b"abc");
-        assert_eq!(a, StreamKey::of(b"abc"));
-        assert_ne!(a, StreamKey::of(b"abd"));
-        assert_ne!(a, StreamKey::of(b"abcc"));
-        assert_ne!(StreamKey::of(b""), StreamKey::of(b"\0"));
+        let hasher = StreamHasher::random();
+        let key = |bytes: &[u8]| hasher.key(bytes);
+        let a = key(b"abc");
+        assert_eq!(a, key(b"abc"));
+        assert_ne!(a, key(b"abd"));
+        assert_ne!(a, key(b"abcc"));
+        assert_ne!(key(b""), key(b"\0"));
+    }
+
+    /// One-lane Horner over GF(2^61 − 1), reduced with `%` at every
+    /// step: the definition the four-lane, lazily reduced hash must
+    /// equal.
+    fn horner(bytes: &[u8], k: u64) -> u64 {
+        bytes.chunks(7).fold(0, |h, c| {
+            let x = u128::from(h) * u128::from(k) + u128::from(chunk(c));
+            (x % u128::from(P61)) as u64
+        })
+    }
+
+    #[test]
+    fn four_lane_hash_equals_horner_at_every_length() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: Vec<u8> = (0..25_300)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng as u8
+            })
+            .collect();
+        let ones = vec![0xFF; 25_300];
+        // Random keys, and the extremes, where a lazy bound that does
+        // not hold would overflow first.
+        let hashers = [StreamHasher::random(), StreamHasher { keys: [P61 - 1, 1] }];
+        for hasher in &hashers {
+            assert!(hasher.keys.iter().all(|&k| (1..P61).contains(&k)));
+            for source in [&noise, &ones] {
+                for len in (0..=1024).chain([25_300]) {
+                    let bytes = &source[..len];
+                    let [k1, k2] = hasher.keys;
+                    assert_eq!(
+                        hasher.key(bytes),
+                        StreamKey {
+                            len,
+                            h1: horner(bytes, k1),
+                            h2: horner(bytes, k2),
+                        },
+                        "length {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

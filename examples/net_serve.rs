@@ -1,12 +1,14 @@
 //! The network decode server end to end: a `DecodeServer` fronts the
 //! persistent service over loopback TCP, a blocking `Client` decodes
 //! the Table-1 streams through the framed CRC-checked protocol, a
-//! flood against a tiny queue turns into explicit retryable-busy
-//! frames, and the `server.*` / `service.*` metric families reconcile
-//! in the unified registry.
+//! burst that fills a tiny decode queue turns into explicit
+//! retryable-busy frames, and the `server.*` / `service.*` metric
+//! families reconcile in the unified registry.
 //!
 //! Run with: `cargo run --release --example net_serve`
 
+use osss_jpeg2000::jpeg2000::codec::{encode, EncodeParams, Mode};
+use osss_jpeg2000::jpeg2000::image::Image;
 use osss_jpeg2000::models::workload::workload;
 use osss_jpeg2000::models::ModeSel;
 use osss_jpeg2000::sim::probe::MetricsRegistry;
@@ -24,7 +26,9 @@ fn main() {
 
     // A deliberately tight service: 1 worker, queue of 2, no caches —
     // small enough that backpressure demonstrably reaches network
-    // clients.
+    // clients. Sixteen handler threads give every connection below a
+    // handler, so each busy answer comes from the full queue, not from
+    // the acceptor.
     let service = Arc::new(DecodeService::new(ServiceConfig {
         workers: 1,
         queue_capacity: 2,
@@ -36,7 +40,7 @@ fn main() {
         Arc::clone(&service),
         "127.0.0.1:0",
         ServerConfig {
-            handler_threads: 8,
+            handler_threads: 16,
             submit_timeout: Duration::from_millis(1),
             metrics: Some(reg.clone()),
             ..ServerConfig::default()
@@ -76,13 +80,25 @@ fn main() {
     );
 
     // --- Backpressure over the network ------------------------------
-    // A burst of concurrent clients against the 2-slot queue: every
-    // request resolves as an image or an explicit retryable-busy frame
-    // — nothing hangs, nothing is reset.
+    // A burst of eight concurrent clients, each with its own Table-1
+    // sized stream (identical streams would share one decode through
+    // single flight and never fill the queue). A cold decode takes
+    // milliseconds, far past the 1 ms submit timeout, so once the
+    // worker holds one stream and the queue two, the rest are answered
+    // retryable-busy: every request resolves as an image or a busy
+    // frame — nothing hangs, nothing is reset.
+    let burst: Vec<Vec<u8>> = (0..8)
+        .map(|seed| {
+            let image = Image::synthetic_rgb(128, 128, 100 + seed);
+            encode(&image, &EncodeParams::new(Mode::Lossless).tile_size(32, 32))
+                .expect("encode a burst stream")
+        })
+        .collect();
     let outcomes: Vec<&str> = std::thread::scope(|scope| {
-        (0..8)
-            .map(|i| {
-                let stream = &lossy.codestream;
+        burst
+            .iter()
+            .enumerate()
+            .map(|(i, stream)| {
                 scope.spawn(move || {
                     let mut c = Client::connect(addr).expect("connect");
                     match c.request(&Request::strict(), stream) {
@@ -99,6 +115,7 @@ fn main() {
     });
     let busy = outcomes.iter().filter(|o| **o == "busy").count();
     println!("burst: {busy}/8 requests answered retryable-busy");
+    assert!(busy >= 1, "the burst must fill the 2-slot queue");
 
     // --- Retry-with-backoff absorbs the busy answers ----------------
     let mut retrier = Client::connect(addr).expect("connect");
@@ -134,6 +151,10 @@ fn main() {
     assert!(
         server_stats.reconciles_with(&service_stats),
         "one service submission or coalesce per admitted network request"
+    );
+    assert_eq!(
+        server_stats.conn_rejected, 0,
+        "every connection got a handler; the busy answers came from the queue"
     );
     println!(
         "\nserver: frames {}/{}, ok={} busy={} conn_rejected={} crc_rejects={}",

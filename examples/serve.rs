@@ -63,8 +63,9 @@ fn main() {
 
     // --- Deadlines --------------------------------------------------
     // A deadline no decode can meet: the request resolves with
-    // DeadlineExceeded instead of burning a worker. (A fresh stream —
-    // the cached ones would be served instantly from memory.)
+    // DeadlineExceeded instead of burning a worker. The deadline is
+    // checked before any cache lookup, so a cached stream would expire
+    // the same way.
     let doomed = service
         .decode(
             &lossy.codestream[..],
