@@ -1,4 +1,4 @@
-//! The codec throughput benchmark: flags-lattice Tier-1 kernel vs the
+//! The codec throughput benchmark: stripe-state Tier-1 kernel vs the
 //! retained reference, the MQ decoder vs its flowchart reference, the
 //! inverse-DWT kernels, per-tile entropy decode on the Table-1 workload,
 //! and end-to-end decode throughput. It also prints, without recording

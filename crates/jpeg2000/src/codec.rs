@@ -753,25 +753,11 @@ impl StagedDecoder {
                         }
                         let refs: Vec<(&[u8], u32)> =
                             segments.iter().map(|(d, n)| (d.as_slice(), *n)).collect();
-                        let (mags, negative) = scratch
+                        let at = (band.rect.y0 + r.y0) * w + band.rect.x0 + r.x0;
+                        let out = &mut plane[at..];
+                        scratch
                             .t1
-                            .decode_block_segments(&refs, r.w, r.h, band.kind, mb);
-                        for y in 0..r.h {
-                            for x in 0..r.w {
-                                let m = mags[y * r.w + x];
-                                if m == 0 {
-                                    continue;
-                                }
-                                let v = if negative[y * r.w + x] {
-                                    -(m as i32)
-                                } else {
-                                    m as i32
-                                };
-                                let gy = band.rect.y0 + r.y0 + y;
-                                let gx = band.rect.x0 + r.x0 + x;
-                                plane[gy * w + gx] = v;
-                            }
-                        }
+                            .decode_into(&refs, r.w, r.h, band.kind, mb, out, w);
                     }
                 }
             }

@@ -7,7 +7,12 @@
 //!
 //! [`MqDecoder`] decides without a branch on the symbol, renormalises in
 //! one shift and is `Copy`, so Tier-1 keeps A, C and CT in registers for
-//! a whole coding pass. Its one rule beyond the flowcharts: BYTEIN stays
+//! a whole coding pass. An [`MqContext`] is one packed `u32` — Qe in the
+//! low 16 bits, `state·2 + MPS` above — so a decision reads its Qe
+//! straight from the context, with no dependent [`STATE_TABLE`] load,
+//! and adapts by picking the next packed context from a 94-entry const
+//! table (one row per state and MPS sense). Its one rule beyond the
+//! flowcharts: BYTEIN stays
 //! *lazy*. It runs only when CT is 0 at the start of a renormalisation
 //! step, exactly where T.800's bit-at-a-time RENORMD calls it — never as
 //! soon as CT reaches 0, and C is never pre-loaded past the current
@@ -80,19 +85,41 @@ pub const STATE_TABLE: [StateRow; 47] = [
     (0x5601, 46, 46, false),
 ];
 
-/// One adaptive context: probability state index plus current MPS sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MqContext {
-    /// Index into [`STATE_TABLE`].
-    pub state: u8,
-    /// Current most-probable-symbol value.
-    pub mps: bool,
-}
+/// One adaptive context: probability state index plus current MPS
+/// sense, packed with the state's Qe into one word — Qe in bits 0..=15,
+/// `state·2 + MPS` in bits 16..=22.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct MqContext(u32);
 
 impl MqContext {
+    /// A context at table entry `state` with MPS sense `mps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not an index into [`STATE_TABLE`].
+    pub const fn new(state: u8, mps: bool) -> Self {
+        let qe = STATE_TABLE[state as usize].0 as u32;
+        MqContext(qe | (state as u32 * 2 + mps as u32) << 16)
+    }
+
     /// A context starting at table entry `state` with MPS = 0.
     pub const fn with_state(state: u8) -> Self {
-        MqContext { state, mps: false }
+        MqContext::new(state, false)
+    }
+
+    /// The index into [`STATE_TABLE`].
+    pub const fn state(self) -> u8 {
+        (self.0 >> 17) as u8
+    }
+
+    /// The current most-probable-symbol value.
+    pub const fn mps(self) -> bool {
+        self.0 & 1 << 16 != 0
+    }
+
+    /// The state's LPS probability estimate Qe.
+    const fn qe(self) -> u32 {
+        self.0 & 0xFFFF
     }
 }
 
@@ -101,6 +128,33 @@ impl Default for MqContext {
         MqContext::with_state(0)
     }
 }
+
+impl std::fmt::Debug for MqContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MqContext")
+            .field("state", &self.state())
+            .field("mps", &self.mps())
+            .finish()
+    }
+}
+
+/// The context after a renormalising decision, indexed by
+/// `state·2 + MPS`: `[after an MPS, after an LPS]` — NMPS, or NLPS with
+/// the MPS sense flipped where SWITCH is set.
+const NEXT: [[MqContext; 2]; 94] = {
+    let mut t = [[MqContext(0); 2]; 94];
+    let mut i = 0;
+    while i < 94 {
+        let (state, mps) = (i / 2, i % 2 == 1);
+        let (_, nmps, nlps, switch) = STATE_TABLE[state];
+        t[i] = [
+            MqContext::new(nmps, mps),
+            MqContext::new(nlps, mps ^ switch),
+        ];
+        i += 1;
+    }
+    t
+};
 
 /// The MQ encoder: feeds decisions per context, produces the byte stream.
 ///
@@ -152,7 +206,7 @@ impl MqEncoder {
 
     /// Encodes decision `d` in context `cx` (ENCODE).
     pub fn encode(&mut self, cx: &mut MqContext, d: bool) {
-        if d == cx.mps {
+        if d == cx.mps() {
             self.code_mps(cx);
         } else {
             self.code_lps(cx);
@@ -160,7 +214,7 @@ impl MqEncoder {
     }
 
     fn code_mps(&mut self, cx: &mut MqContext) {
-        let (qe, nmps, _, _) = STATE_TABLE[cx.state as usize];
+        let (qe, nmps, _, _) = STATE_TABLE[cx.state() as usize];
         let qe = qe as u32;
         self.a -= qe;
         if self.a & 0x8000 == 0 {
@@ -169,7 +223,7 @@ impl MqEncoder {
             } else {
                 self.c += qe;
             }
-            cx.state = nmps;
+            *cx = MqContext::new(nmps, cx.mps());
             self.renorm();
         } else {
             self.c += qe;
@@ -177,7 +231,7 @@ impl MqEncoder {
     }
 
     fn code_lps(&mut self, cx: &mut MqContext) {
-        let (qe, _, nlps, switch) = STATE_TABLE[cx.state as usize];
+        let (qe, _, nlps, switch) = STATE_TABLE[cx.state() as usize];
         let qe = qe as u32;
         self.a -= qe;
         if self.a < qe {
@@ -185,10 +239,7 @@ impl MqEncoder {
         } else {
             self.a = qe;
         }
-        if switch {
-            cx.mps = !cx.mps;
-        }
-        cx.state = nlps;
+        *cx = MqContext::new(nlps, cx.mps() ^ switch);
         self.renorm();
     }
 
@@ -329,17 +380,18 @@ impl<'a> MqDecoder<'a> {
     /// `lps = C_high < Qe`, the decision is `MPS ^ lps ^ (a' < Qe)`
     /// (T.800's MPS and LPS exchanges folded into one expression), C
     /// loses `Qe << 16` only when `!lps`, and A becomes `Qe` or `a'`.
-    /// The context adapts — to NMPS when the decision equals the MPS,
-    /// else to NLPS with the SWITCH flip — only when the new A is below
-    /// 0x8000. All of these are selects. RENORMD is one shift by the
+    /// Qe comes from the packed context itself. The context adapts — to
+    /// the next table's MPS entry when the decision equals the MPS, else
+    /// to its LPS entry — only when the new A is below 0x8000. All of
+    /// these are selects. RENORMD is one shift by the
     /// new A's leading-zero count, which is 0 when no renormalisation
     /// is due; only a shift that runs past CT takes the out-of-line
     /// refill path.
     #[inline(always)]
     pub fn decode(&mut self, cx: &mut MqContext) -> bool {
-        let (qe, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
-        let qe = qe as u32;
-        let mps = cx.mps;
+        let ctx = *cx;
+        let qe = ctx.qe();
+        let mps = ctx.mps();
         let a = self.a - qe;
         let lps = (self.c >> 16) < qe;
         let d = mps ^ lps ^ (a < qe);
@@ -347,8 +399,8 @@ impl<'a> MqDecoder<'a> {
         let a = select(lps, qe, a);
         let n = (a << 16).leading_zeros();
         let renorm = n != 0;
-        cx.state = select(renorm, select(d == mps, nmps, nlps), cx.state);
-        cx.mps = mps ^ (renorm & (d != mps) & switch);
+        let [on_mps, on_lps] = NEXT[(ctx.0 >> 16) as usize];
+        *cx = select(renorm, select(d == mps, on_mps, on_lps), ctx);
         self.renorms += renorm as u64;
         if n <= self.ct {
             self.a = a << n;
@@ -531,7 +583,7 @@ mod tests {
     fn assert_matches_reference(bytes: &[u8], states: &[(u8, bool)], seq: &[usize]) {
         let init: Vec<MqContext> = states
             .iter()
-            .map(|&(state, mps)| MqContext { state, mps })
+            .map(|&(state, mps)| MqContext::new(state, mps))
             .collect();
         let (mut fast_cx, mut ref_cx) = (init.clone(), init);
         let mut fast = MqDecoder::new(bytes);
@@ -644,5 +696,25 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(switches, vec![0, 6, 14]);
+    }
+
+    #[test]
+    fn packed_contexts_round_trip_and_follow_the_state_table() {
+        for (state, &(qe, nmps, nlps, switch)) in STATE_TABLE.iter().enumerate() {
+            for mps in [false, true] {
+                let cx = MqContext::new(state as u8, mps);
+                assert_eq!((cx.state() as usize, cx.mps()), (state, mps));
+                assert_eq!(cx.qe(), qe as u32, "state {state}");
+                let [on_mps, on_lps] = NEXT[2 * state + mps as usize];
+                assert_eq!((on_mps.state(), on_mps.mps()), (nmps, mps), "state {state}");
+                assert_eq!(on_mps.qe(), STATE_TABLE[nmps as usize].0 as u32);
+                assert_eq!(
+                    (on_lps.state(), on_lps.mps()),
+                    (nlps, mps != switch),
+                    "state {state}"
+                );
+                assert_eq!(on_lps.qe(), STATE_TABLE[nlps as usize].0 as u32);
+            }
+        }
     }
 }

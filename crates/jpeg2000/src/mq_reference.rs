@@ -9,7 +9,7 @@
 //! returns the same decisions and the same [`MqDecoder::renorms`] count
 //! on arbitrary (including corrupt) byte strings, and
 //! [`crate::t1::reference`] decodes through this decoder so the
-//! lattice-vs-reference Tier-1 property tests compare two fully
+//! stripe-state-vs-reference Tier-1 property tests compare two fully
 //! independent paths.
 
 use super::{MqContext, STATE_TABLE};
@@ -80,12 +80,12 @@ impl<'a> MqDecoder<'a> {
     /// Decodes one decision in context `cx` (DECODE).
     #[inline]
     pub fn decode(&mut self, cx: &mut MqContext) -> bool {
-        let qe = STATE_TABLE[cx.state as usize].0 as u32;
+        let qe = STATE_TABLE[cx.state() as usize].0 as u32;
         self.a -= qe;
         if (self.c >> 16) >= qe {
             self.c -= qe << 16;
             if self.a & 0x8000 != 0 {
-                return cx.mps; // MPS, no renormalisation
+                return cx.mps(); // MPS, no renormalisation
             }
             self.decode_mps_exchange(cx, qe)
         } else {
@@ -97,17 +97,14 @@ impl<'a> MqDecoder<'a> {
     /// conditional exchange, adapt the context, renormalise.
     #[inline(never)]
     fn decode_mps_exchange(&mut self, cx: &mut MqContext, qe: u32) -> bool {
-        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
+        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state() as usize];
         let d;
         if self.a < qe {
-            d = !cx.mps;
-            if switch {
-                cx.mps = !cx.mps;
-            }
-            cx.state = nlps;
+            d = !cx.mps();
+            *cx = MqContext::new(nlps, cx.mps() ^ switch);
         } else {
-            d = cx.mps;
-            cx.state = nmps;
+            d = cx.mps();
+            *cx = MqContext::new(nmps, cx.mps());
         }
         self.renorm();
         d
@@ -117,17 +114,14 @@ impl<'a> MqDecoder<'a> {
     /// exchange, adapt the context, renormalise.
     #[inline(never)]
     fn decode_lps_exchange(&mut self, cx: &mut MqContext, qe: u32) -> bool {
-        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state as usize];
+        let (_, nmps, nlps, switch) = STATE_TABLE[cx.state() as usize];
         let d;
         if self.a < qe {
-            d = cx.mps;
-            cx.state = nmps;
+            d = cx.mps();
+            *cx = MqContext::new(nmps, cx.mps());
         } else {
-            d = !cx.mps;
-            if switch {
-                cx.mps = !cx.mps;
-            }
-            cx.state = nlps;
+            d = !cx.mps();
+            *cx = MqContext::new(nlps, cx.mps() ^ switch);
         }
         self.a = qe;
         self.renorm();

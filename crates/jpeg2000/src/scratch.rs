@@ -2,13 +2,16 @@
 //! needs, bundled so one allocation set serves a whole decode.
 //!
 //! The paper's profile makes Tier-1 the hot stage, and the Tier-1 inner
-//! loop used to allocate three fresh `Vec`s per code-block (flags,
-//! magnitudes, signs) plus four more per inverse-DWT call. A
-//! [`DecodeScratch`] owns all of them; [`crate::codec::decode`] reuses
-//! one across every tile, and [`crate::parallel`] gives each worker its
-//! own so no synchronisation is needed. Since the irreversible path went
-//! fixed point, the DWT part is two `i32` buffers (one interleaved row,
-//! one saved half-plane) — the arena carries no `f64` at all.
+//! loop used to allocate fresh `Vec`s per code-block plus four more per
+//! inverse-DWT call. A [`DecodeScratch`] owns what is left of them;
+//! [`crate::codec::decode`] reuses one across every tile, and
+//! [`crate::parallel`] gives each worker its own so no synchronisation
+//! is needed. The Tier-1 part ([`T1Scratch`]) holds only the stripe
+//! state words: Tier-1 writes coefficients straight into the tile
+//! plane, so there are no per-block magnitude or sign planes. Since the
+//! irreversible path went fixed point, the DWT part is two `i32`
+//! buffers (one interleaved row, one saved half-plane) — the arena
+//! carries no `f64` at all.
 
 use crate::dwt::DwtScratch;
 use crate::t1::T1Scratch;
@@ -48,13 +51,13 @@ impl DecodeCounters {
     }
 }
 
-/// Reusable decode buffers: the Tier-1 flags/magnitude/sign planes and
-/// the DWT row/half-plane scratch. Buffers grow to the largest
-/// code-block, row and half-plane seen and are then reused; dropping the
-/// arena frees everything at once.
+/// Reusable decode buffers: the Tier-1 stripe state words and the DWT
+/// row/half-plane scratch. Buffers grow to the largest code-block, row
+/// and half-plane seen and are then reused; dropping the arena frees
+/// everything at once.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    /// Tier-1 per-code-block buffers.
+    /// Tier-1 stripe state and block-level counters.
     pub(crate) t1: T1Scratch,
     /// Inverse-DWT row and saved-half-plane buffers.
     pub(crate) dwt: DwtScratch,

@@ -8,21 +8,45 @@
 //! the *arithmetic decoder*, the one that consumes ~88 % of the decode
 //! time and gets parallelised four ways in model versions 4/5.
 //!
-//! # The flags lattice
+//! # The stripe state
 //!
-//! The coder keeps one `u32` *flags word* per sample in a lattice padded
-//! by one cell on every side. The word caches the sample's own state
-//! (significant / visited / refined) **and** the significance of all 8
-//! neighbours plus the signs of the 4 horizontal/vertical ones. When a
-//! coefficient first becomes significant, `set_significant` pushes that
-//! fact into the 8 surrounding words once; every later context lookup is
-//! then a single table index into a precomputed LUT instead of 8
-//! bounds-checked neighbour loads. The LUTs are built at compile time
-//! from the T.800 context tables (`zc_table_hv` / `zc_table_diag` and
-//! the sign-coding contribution rules), which remain the oracle: the
-//! original per-sample implementation is retained in `t1::reference` (under
-//! `cfg(test)` or the `reference-t1` feature) and property-tested to be
-//! bit-exact against this fast path.
+//! The scan visits code-blocks in stripes four rows high, column by
+//! column, so the coder keeps one `u32` *state word* per column of a
+//! stripe (openjpeg's `t1.c` layout), in an array padded by one column
+//! on each side and one stripe row above and below:
+//!
+//! - bits 0..=17 hold the significance of the column's 3×6 window, bit
+//!   `3r + c` for window rows −1..=4 (`r` = row + 1) and columns
+//!   W/own/E (`c` = 0/1/2);
+//! - row `ci`'s sign, refined and visited bits sit at `19/20/21 + 3ci`;
+//! - the signs of the rows just above and below the stripe sit at bits
+//!   18 and 31.
+//!
+//! So `f >> 3ci` puts row `ci`'s 3×3 neighbourhood in bits 0..=8 (its
+//! own significance at bit 4), which indexes a 512-entry zero-coding LUT
+//! per band orientation, and a pass finds the rows of a column it must
+//! code with a few masks over one word — refinement candidates are
+//! `(f >> 4) & !(f >> 21) & 0x249`, one bit per row at `3ci` — and walks
+//! them with `trailing_zeros` instead of testing every sample. When a
+//! sample turns significant, `set_significant` ORs one bit into the W
+//! and E words (the shared window makes it that row's E or W, the row
+//! above's SE or SW and the row below's NE or NW at once), plus three
+//! bits and the sign into the adjacent stripe's words for rows 0 and 3.
+//! The cleanup pass clears each column's visited bits as it leaves it.
+//!
+//! The LUTs are built at compile time from the T.800 context tables
+//! (`zc_table_hv` / `zc_table_diag` and the sign-coding contribution
+//! rules), which remain the oracle: the original per-sample
+//! implementation is retained in `t1::reference` (under `cfg(test)` or
+//! the `reference-t1` feature) and property-tested to be bit-exact
+//! against this path. The encoder and decoder share the three pass
+//! walks; a `Coder` says what each decision does.
+//!
+//! The decoder writes signed coefficients straight into the caller's
+//! tile plane ([`T1Scratch::decode_into`]): ±`1 << p` when a sample
+//! turns significant at plane `p`, ±`bit << p` at each refinement.
+
+use std::hint::select_unpredictable as select;
 
 use crate::mq::{MqContext, MqDecoder, MqEncoder};
 use crate::tile::BandKind;
@@ -43,51 +67,78 @@ const CTX_MR: usize = 14; // 14..=16 magnitude refinement
 const CTX_RL: usize = 17; // run-length
 const CTX_UNI: usize = 18; // uniform
 
+type Contexts = [MqContext; NUM_CONTEXTS];
+
 // ---------------------------------------------------------------------------
-// Flags lattice
+// Stripe state
 // ---------------------------------------------------------------------------
 
-// Neighbour-significance bits (bit k set = that neighbour is significant).
-const F_SIG_W: u32 = 1 << 0;
-const F_SIG_E: u32 = 1 << 1;
-const F_SIG_N: u32 = 1 << 2;
-const F_SIG_S: u32 = 1 << 3;
-const F_SIG_NW: u32 = 1 << 4;
-const F_SIG_NE: u32 = 1 << 5;
-const F_SIG_SW: u32 = 1 << 6;
-const F_SIG_SE: u32 = 1 << 7;
-/// All 8 neighbour-significance bits; zero ⇔ the T.800 zero-coding
-/// context 0 (empty neighbourhood) for every band orientation.
-const F_NEIGH_SIG: u32 = 0xFF;
+/// Bit `3ci` for each row `ci` of a stripe: the row positions of every
+/// per-row mask below, and of the candidate masks the passes walk.
+const ROWS: u32 = 0x249;
+/// The 18 significance bits of a column's 3×6 window.
+const SIG_WINDOW: u32 = 0x3_FFFF;
+/// Row 0's significance, sign, refined and visited bits; row `ci`'s are
+/// these shifted left by `3ci`.
+const SIG0: u32 = 1 << 4;
+const SIGN0: u32 = 1 << 19;
+const REFINED0: u32 = 1 << 20;
+const VISITED0: u32 = 1 << 21;
+/// All four rows' visited bits.
+const VISITED: u32 = ROWS << 21;
+/// Sign of the row above the stripe (row −1) and below it (row 4).
+const SIGN_ABOVE: u32 = 1 << 18;
+const SIGN_BELOW: u32 = 1 << 31;
+/// A row's 3×3 neighbourhood in `f >> 3ci`, without the centre.
+const NEIGHBOURS: u32 = 0x1EF;
 
-// Neighbour-sign bits (only meaningful when the matching F_SIG_* is set).
-const F_NEG_W: u32 = 1 << 8;
-const F_NEG_E: u32 = 1 << 9;
-const F_NEG_N: u32 = 1 << 10;
-const F_NEG_S: u32 = 1 << 11;
+/// Sizes `flags` for a `w × h` block and clears it: `w + 2` words per
+/// stripe row, with a padding column on each side and a padding stripe
+/// row above and below, so border samples write into padding harmlessly.
+fn reset_flags(flags: &mut Vec<u32>, w: usize, h: usize) {
+    flags.clear();
+    flags.resize((w + 2) * (h.div_ceil(4) + 2), 0);
+}
 
-// Own-state bits.
-const F_SELF_SIG: u32 = 1 << 12;
-const F_VISITED: u32 = 1 << 13;
-const F_REFINED: u32 = 1 << 14;
+/// The rows of a stripe that lie inside the block: all four, or the
+/// first `h - y0` of the last stripe.
+fn valid_rows(h: usize, y0: usize) -> u32 {
+    ROWS & ((1 << (3 * (h - y0).min(4))) - 1)
+}
 
-/// Marks the sample at padded index `i` significant with sign `neg`,
-/// pushing its significance into all 8 neighbours' flags words and its
-/// sign into the 4 horizontal/vertical ones. The lattice is padded by one
-/// cell on every side, so border samples write into padding harmlessly.
+/// Marks row `r / 3` of the column at word `fi` significant with sign
+/// `neg`: ORs its significance into the W and E words, and for rows 0
+/// and 3 three bits and the sign into the adjacent stripe's words.
+/// Returns the bits to OR into the column's own word, which the passes
+/// keep in a register.
 #[inline]
-fn set_significant(flags: &mut [u32], stride: usize, i: usize, neg: bool) {
-    let neg = neg as u32;
-    flags[i] |= F_SELF_SIG;
-    // The west neighbour sees us as its east neighbour, and so on.
-    flags[i - 1] |= F_SIG_E | (neg * F_NEG_E);
-    flags[i + 1] |= F_SIG_W | (neg * F_NEG_W);
-    flags[i - stride] |= F_SIG_S | (neg * F_NEG_S);
-    flags[i + stride] |= F_SIG_N | (neg * F_NEG_N);
-    flags[i - stride - 1] |= F_SIG_SE;
-    flags[i - stride + 1] |= F_SIG_SW;
-    flags[i + stride - 1] |= F_SIG_NE;
-    flags[i + stride + 1] |= F_SIG_NW;
+fn set_significant(flags: &mut [u32], fi: usize, fstride: usize, r: u32, neg: bool) -> u32 {
+    flags[fi - 1] |= 1 << (r + 5);
+    flags[fi + 1] |= 1 << (r + 3);
+    if r == 0 {
+        let n = fi - fstride;
+        flags[n - 1] |= 1 << 17;
+        flags[n] |= (1 << 16) | ((neg as u32) * SIGN_BELOW);
+        flags[n + 1] |= 1 << 15;
+    } else if r == 9 {
+        let s = fi + fstride;
+        flags[s - 1] |= 1 << 2;
+        flags[s] |= (1 << 1) | ((neg as u32) * SIGN_ABOVE);
+        flags[s + 1] |= 1;
+    }
+    (SIG0 | ((neg as u32) * SIGN0)) << r
+}
+
+/// The insignificant rows of a column word with a significant neighbour:
+/// the significance pass's candidates, one bit per row at `3ci`.
+#[inline]
+fn zc_candidates(f: u32) -> u32 {
+    // Per window row r at bit 3r: any of its three samples, and its W or
+    // E sample. Row ci's neighbours are window rows ci and ci + 2 whole
+    // and the W/E samples of window row ci + 1.
+    let any = (f | f >> 1 | f >> 2) & 0x9249;
+    let sides = (f | f >> 2) & 0x9249;
+    (any | sides >> 3 | any >> 6) & !(f >> 4) & ROWS
 }
 
 /// The LL/LH significance table (HL uses it with h and v swapped).
@@ -151,34 +202,30 @@ pub(crate) const fn zc_table_diag(d: u32, hv: u32) -> usize {
     }
 }
 
-/// Builds a zero-coding LUT over the 8 neighbour-significance bits. With
-/// `swap`, horizontal and vertical counts swap roles (the HL orientation).
-const fn build_zc_lut_hv(swap: bool) -> [u8; 256] {
-    let mut t = [0u8; 256];
-    let mut f = 0usize;
-    while f < 256 {
-        let h = ((f & 1) + ((f >> 1) & 1)) as u32;
-        let v = (((f >> 2) & 1) + ((f >> 3) & 1)) as u32;
-        let d = (((f >> 4) & 1) + ((f >> 5) & 1) + ((f >> 6) & 1) + ((f >> 7) & 1)) as u32;
-        t[f] = if swap {
-            zc_table_hv(v, h, d) as u8
-        } else {
-            zc_table_hv(h, v, d) as u8
-        };
-        f += 1;
+/// `(horizontal, vertical, diagonal)` significant-neighbour counts of a
+/// 3×3 window (bits 0..=8: NW N NE / W centre E / SW S SE).
+const fn window_counts(f: usize) -> (u32, u32, u32) {
+    const fn bit(f: usize, k: usize) -> u32 {
+        ((f >> k) & 1) as u32
     }
-    t
+    (
+        bit(f, 3) + bit(f, 5),
+        bit(f, 1) + bit(f, 7),
+        bit(f, 0) + bit(f, 2) + bit(f, 6) + bit(f, 8),
+    )
 }
 
-/// The HH-orientation zero-coding LUT (diagonal count keys first).
-const fn build_zc_lut_diag() -> [u8; 256] {
-    let mut t = [0u8; 256];
+/// Builds a band orientation's zero-coding LUT over the 3×3 window.
+const fn build_zc_lut(kind: BandKind) -> [u8; 512] {
+    let mut t = [0u8; 512];
     let mut f = 0usize;
-    while f < 256 {
-        let h = ((f & 1) + ((f >> 1) & 1)) as u32;
-        let v = (((f >> 2) & 1) + ((f >> 3) & 1)) as u32;
-        let d = (((f >> 4) & 1) + ((f >> 5) & 1) + ((f >> 6) & 1) + ((f >> 7) & 1)) as u32;
-        t[f] = zc_table_diag(d, h + v) as u8;
+    while f < 512 {
+        let (h, v, d) = window_counts(f);
+        t[f] = match kind {
+            BandKind::Ll | BandKind::Lh => zc_table_hv(h, v, d),
+            BandKind::Hl => zc_table_hv(v, h, d),
+            BandKind::Hh => zc_table_diag(d, h + v),
+        } as u8;
         f += 1;
     }
     t
@@ -206,17 +253,18 @@ const fn clamp1(v: i32) -> i32 {
     }
 }
 
-/// Builds the sign-coding LUT. Index bits: 0..=3 significance of W/E/N/S,
-/// 4..=7 negativity of W/E/N/S. Entry: low 3 bits the context offset
-/// (0..=4), bit 3 the XOR flag.
+/// Builds the sign-coding LUT. Index bits: 1/3/5/7 the significance of
+/// N/W/E/S (where `f >> 3ci` has them), 0/2/4/6 the negativity of
+/// W/E/N/S. Entry: low 3 bits the context offset (0..=4), bit 3 the XOR
+/// flag.
 const fn build_sc_lut() -> [u8; 256] {
     let mut t = [0u8; 256];
     let mut i = 0usize;
     while i < 256 {
-        let cw = sign_contrib(i & 1 != 0, i & 0x10 != 0);
-        let ce = sign_contrib(i & 2 != 0, i & 0x20 != 0);
-        let cn = sign_contrib(i & 4 != 0, i & 0x40 != 0);
-        let cs = sign_contrib(i & 8 != 0, i & 0x80 != 0);
+        let cw = sign_contrib(i & 0x08 != 0, i & 0x01 != 0);
+        let ce = sign_contrib(i & 0x20 != 0, i & 0x04 != 0);
+        let cn = sign_contrib(i & 0x02 != 0, i & 0x10 != 0);
+        let cs = sign_contrib(i & 0x80 != 0, i & 0x40 != 0);
         let hc = clamp1(cw + ce);
         let vc = clamp1(cn + cs);
         // The T.800 sign-coding table (offset, xor), mirrored for hc < 0.
@@ -251,16 +299,16 @@ const fn build_sc_lut() -> [u8; 256] {
     t
 }
 
-/// Zero-coding LUTs indexed by the low 8 flags bits, per orientation.
-const LUT_ZC_HV: [u8; 256] = build_zc_lut_hv(false);
-const LUT_ZC_VH: [u8; 256] = build_zc_lut_hv(true);
-const LUT_ZC_DIAG: [u8; 256] = build_zc_lut_diag();
+/// Zero-coding LUTs indexed by a row's 3×3 window, per orientation.
+const LUT_ZC_HV: [u8; 512] = build_zc_lut(BandKind::Ll);
+const LUT_ZC_VH: [u8; 512] = build_zc_lut(BandKind::Hl);
+const LUT_ZC_DIAG: [u8; 512] = build_zc_lut(BandKind::Hh);
 /// Sign-coding LUT (offset + XOR), see [`build_sc_lut`].
 const LUT_SC: [u8; 256] = build_sc_lut();
 
 /// The zero-coding LUT for a band orientation.
 #[inline]
-fn zc_lut(kind: BandKind) -> &'static [u8; 256] {
+fn zc_lut(kind: BandKind) -> &'static [u8; 512] {
     match kind {
         BandKind::Ll | BandKind::Lh => &LUT_ZC_HV,
         BandKind::Hl => &LUT_ZC_VH,
@@ -268,24 +316,221 @@ fn zc_lut(kind: BandKind) -> &'static [u8; 256] {
     }
 }
 
-/// Sign-coding context and XOR bit from a flags word.
+/// Sign-coding context and XOR bit of row `r / 3` of the column whose
+/// word is `f` (at `fi`): the N/W/E/S significance from `f`'s window,
+/// the W and E signs from the neighbouring words, and the N and S signs
+/// from `f` — for row 0 the sign of the stripe above's last row.
 #[inline]
-fn sc_lookup(f: u32) -> (usize, bool) {
-    let lu = LUT_SC[((f & 0xF) | ((f >> 4) & 0xF0)) as usize];
-    (CTX_SC + (lu & 7) as usize, lu & 8 != 0)
+fn sc_context(flags: &[u32], fi: usize, f: u32, r: u32) -> (usize, bool) {
+    let north = if r == 0 { f >> 18 } else { f >> (r + 16) };
+    let lu = (f >> r) & 0xAA
+        | (flags[fi - 1] >> (r + 19)) & 1
+        | ((flags[fi + 1] >> (r + 19)) & 1) << 2
+        | (north & 1) << 4
+        | ((f >> (r + 22)) & 1) << 6;
+    let e = LUT_SC[lu as usize];
+    (CTX_SC + (e & 7) as usize, e & 8 != 0)
 }
 
-/// Magnitude-refinement context from a flags word.
+/// Magnitude-refinement context of row `r / 3` of the column word `f`.
 #[inline]
-fn mr_lookup(f: u32) -> usize {
-    if f & F_REFINED != 0 {
+fn mr_context(f: u32, r: u32) -> usize {
+    if f & REFINED0 << r != 0 {
         CTX_MR + 2
-    } else if f & F_NEIGH_SIG != 0 {
+    } else if (f >> r) & NEIGHBOURS != 0 {
         CTX_MR + 1
     } else {
         CTX_MR
     }
 }
+
+// ---------------------------------------------------------------------------
+// The three passes, shared by the encoder and the decoder
+// ---------------------------------------------------------------------------
+
+/// What a coding pass does with each decision. The passes walk the
+/// stripe state and pick contexts; the decoder takes each decision from
+/// the MQ codeword and writes the coefficient, the encoder reads the
+/// coefficient and codes the decision. Sample `i` indexes the coder's
+/// own plane.
+trait Coder {
+    /// Zero coding: whether sample `i` turns significant at this plane.
+    fn bit(&mut self, cx: &mut MqContext, i: usize) -> bool;
+    /// Sign coding of sample `i`, which just turned significant, with
+    /// the context's XOR bit; returns whether it is negative.
+    fn sign(&mut self, cx: &mut MqContext, xor: bool, i: usize) -> bool;
+    /// Magnitude refinement of sample `i`.
+    fn refine(&mut self, cx: &mut MqContext, i: usize);
+    /// Run-length coding of the four-sample column from `i` (rows
+    /// `stride` apart): the row of its first sample to turn significant,
+    /// if any.
+    fn run(&mut self, ctxs: &mut Contexts, i: usize, stride: usize) -> Option<u32>;
+}
+
+/// Significance propagation: every insignificant sample with a
+/// significant neighbour. Takes and returns the coder by value, so the
+/// decoder's A, C and CT stay in registers for the whole pass.
+fn sig_pass<C: Coder>(
+    mut c: C,
+    ctxs: &mut Contexts,
+    flags: &mut [u32],
+    (w, h, stride): (usize, usize, usize),
+    zc: &[u8; 512],
+) -> C {
+    let fstride = w + 2;
+    for (s, y0) in (0..h).step_by(4).enumerate() {
+        let valid = valid_rows(h, y0);
+        let fi0 = (s + 1) * fstride + 1;
+        for x in 0..w {
+            let fi = fi0 + x;
+            let mut f = flags[fi];
+            let mut cand = zc_candidates(f) & valid;
+            if cand == 0 {
+                continue;
+            }
+            let col = y0 * stride + x;
+            while cand != 0 {
+                let r = cand.trailing_zeros();
+                let i = col + (r / 3) as usize * stride;
+                let cx = CTX_ZC + zc[((f >> r) & 0x1FF) as usize] as usize;
+                if c.bit(&mut ctxs[cx], i) {
+                    let (sc, xor) = sc_context(flags, fi, f, r);
+                    let neg = c.sign(&mut ctxs[sc], xor, i);
+                    f |= set_significant(flags, fi, fstride, r, neg);
+                    // Only the next row gains a neighbour; the rows
+                    // above were already visited.
+                    cand = zc_candidates(f) & valid & (!1 << r);
+                } else {
+                    cand &= cand - 1;
+                }
+                f |= VISITED0 << r;
+            }
+            flags[fi] = f;
+        }
+    }
+    c
+}
+
+/// Magnitude refinement: every significant sample the significance pass
+/// of this plane did not visit.
+fn ref_pass<C: Coder>(
+    mut c: C,
+    ctxs: &mut Contexts,
+    flags: &mut [u32],
+    (w, h, stride): (usize, usize, usize),
+) -> C {
+    let fstride = w + 2;
+    for (s, y0) in (0..h).step_by(4).enumerate() {
+        let fi0 = (s + 1) * fstride + 1;
+        for x in 0..w {
+            let f = flags[fi0 + x];
+            let mut cand = (f >> 4) & !(f >> 21) & ROWS;
+            if cand == 0 {
+                continue;
+            }
+            let col = y0 * stride + x;
+            let mut refined = 0;
+            while cand != 0 {
+                let r = cand.trailing_zeros();
+                c.refine(&mut ctxs[mr_context(f, r)], col + (r / 3) as usize * stride);
+                refined |= REFINED0 << r;
+                cand &= cand - 1;
+            }
+            flags[fi0 + x] = f | refined;
+        }
+    }
+    c
+}
+
+/// Cleanup: every sample neither significant nor visited, with
+/// run-length coding of full columns whose whole window is insignificant
+/// and unvisited. Clears each column's visited bits behind it.
+fn cleanup_pass<C: Coder>(
+    mut c: C,
+    ctxs: &mut Contexts,
+    flags: &mut [u32],
+    (w, h, stride): (usize, usize, usize),
+    zc: &[u8; 512],
+) -> C {
+    let fstride = w + 2;
+    for (s, y0) in (0..h).step_by(4).enumerate() {
+        let valid = valid_rows(h, y0);
+        let full = valid == ROWS;
+        let fi0 = (s + 1) * fstride + 1;
+        for x in 0..w {
+            let fi = fi0 + x;
+            let col = y0 * stride + x;
+            let mut f = flags[fi];
+            let mut cand = !(f >> 4 | f >> 21) & valid;
+            if full && f & (SIG_WINDOW | VISITED) == 0 {
+                let Some(k) = c.run(ctxs, col, stride) else {
+                    continue; // whole column stays zero
+                };
+                let r = 3 * k;
+                let i = col + k as usize * stride;
+                let (sc, xor) = sc_context(flags, fi, f, r);
+                let neg = c.sign(&mut ctxs[sc], xor, i);
+                f |= set_significant(flags, fi, fstride, r, neg);
+                cand &= !1 << r;
+            }
+            while cand != 0 {
+                let r = cand.trailing_zeros();
+                let i = col + (r / 3) as usize * stride;
+                let cx = CTX_ZC + zc[((f >> r) & 0x1FF) as usize] as usize;
+                if c.bit(&mut ctxs[cx], i) {
+                    let (sc, xor) = sc_context(flags, fi, f, r);
+                    let neg = c.sign(&mut ctxs[sc], xor, i);
+                    f |= set_significant(flags, fi, fstride, r, neg);
+                }
+                cand &= cand - 1;
+            }
+            flags[fi] = f & !VISITED;
+        }
+    }
+    c
+}
+
+/// One coding pass of the EBCOT schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PassKind {
+    Significance,
+    Refinement,
+    Cleanup,
+}
+
+impl PassKind {
+    /// The pass after this one at plane `p`, with its plane: cleanup
+    /// ends a plane, significance starts the next one down.
+    fn next(self, p: u32) -> (PassKind, u32) {
+        match self {
+            PassKind::Cleanup => (PassKind::Significance, p.wrapping_sub(1)),
+            PassKind::Significance => (PassKind::Refinement, p),
+            PassKind::Refinement => (PassKind::Cleanup, p),
+        }
+    }
+}
+
+/// The EBCOT pass schedule for `mb` bit-planes as a list, for the
+/// reference coder: cleanup only on the most significant plane, all
+/// three passes below it. The boolean marks passes after which the
+/// per-plane VISITED flags reset. The stripe-state coder steps through
+/// the same schedule with [`PassKind::next`].
+#[cfg(any(test, feature = "reference-t1"))]
+fn pass_sequence(mb: u32) -> Vec<(PassKind, u32, bool)> {
+    let mut seq = Vec::new();
+    for p in (0..mb).rev() {
+        if p != mb - 1 {
+            seq.push((PassKind::Significance, p, false));
+            seq.push((PassKind::Refinement, p, false));
+        }
+        seq.push((PassKind::Cleanup, p, true));
+    }
+    seq
+}
+
+// ---------------------------------------------------------------------------
+// Encoder
+// ---------------------------------------------------------------------------
 
 /// Result of encoding one code-block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,29 +585,6 @@ pub fn encode_block(
     }
 }
 
-/// One coding pass of the EBCOT schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PassKind {
-    Significance,
-    Refinement,
-    Cleanup,
-}
-
-/// The EBCOT pass schedule for `mb` bit-planes: cleanup only on the most
-/// significant plane, all three passes below it. The boolean marks passes
-/// after which the per-plane VISITED flags reset.
-fn pass_sequence(mb: u32) -> Vec<(PassKind, u32, bool)> {
-    let mut seq = Vec::new();
-    for p in (0..mb).rev() {
-        if p != mb - 1 {
-            seq.push((PassKind::Significance, p, false));
-            seq.push((PassKind::Refinement, p, false));
-        }
-        seq.push((PassKind::Cleanup, p, true));
-    }
-    seq
-}
-
 /// One MQ codeword segment of a layered code-block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct T1Segment {
@@ -370,6 +592,53 @@ pub struct T1Segment {
     pub data: Vec<u8>,
     /// Number of coding passes in the segment.
     pub num_passes: u32,
+}
+
+/// The encoder's side of each decision: read from the coefficients,
+/// coded into the MQ encoder.
+struct Encode<'a> {
+    mq: &'a mut MqEncoder,
+    mags: &'a [u32],
+    negative: &'a [bool],
+    p: u32,
+}
+
+impl Encode<'_> {
+    #[inline(always)]
+    fn plane_bit(&self, i: usize) -> bool {
+        (self.mags[i] >> self.p) & 1 != 0
+    }
+}
+
+impl Coder for Encode<'_> {
+    #[inline(always)]
+    fn bit(&mut self, cx: &mut MqContext, i: usize) -> bool {
+        let bit = self.plane_bit(i);
+        self.mq.encode(cx, bit);
+        bit
+    }
+
+    #[inline(always)]
+    fn sign(&mut self, cx: &mut MqContext, xor: bool, i: usize) -> bool {
+        self.mq.encode(cx, self.negative[i] ^ xor);
+        self.negative[i]
+    }
+
+    #[inline(always)]
+    fn refine(&mut self, cx: &mut MqContext, i: usize) {
+        self.mq.encode(cx, self.plane_bit(i));
+    }
+
+    #[inline(always)]
+    fn run(&mut self, ctxs: &mut Contexts, i: usize, stride: usize) -> Option<u32> {
+        let first = (0..4).find(|&k| self.plane_bit(i + k as usize * stride));
+        self.mq.encode(&mut ctxs[CTX_RL], first.is_some());
+        if let Some(k) = first {
+            self.mq.encode(&mut ctxs[CTX_UNI], k & 2 != 0);
+            self.mq.encode(&mut ctxs[CTX_UNI], k & 1 != 0);
+        }
+        first
+    }
 }
 
 /// Encodes one code-block into `num_layers` independently terminated MQ
@@ -404,8 +673,7 @@ pub fn encode_block_layers(
     if mb == 0 {
         return (Vec::new(), 0);
     }
-    let seq = pass_sequence(mb as u32);
-    let total = seq.len();
+    let total = 3 * mb as usize - 2;
     // Contiguous pass ranges per layer, remainder to the earliest layers.
     let mut boundaries = Vec::with_capacity(num_layers);
     let (base, rem) = (total / num_layers, total % num_layers);
@@ -416,27 +684,28 @@ pub fn encode_block_layers(
     }
 
     let zc = zc_lut(kind);
-    let mut flags = vec![0u32; (w + 2) * (h + 2)];
+    let mut flags = Vec::new();
+    reset_flags(&mut flags, w, h);
     let mut ctxs = initial_contexts();
     let mut mq = MqEncoder::new();
     let mut segments = Vec::with_capacity(num_layers);
     let mut passes_in_segment = 0u32;
     let mut next_boundary = 0usize;
-    for (i, &(pass, p, clear)) in seq.iter().enumerate() {
-        match pass {
-            PassKind::Significance => {
-                enc_sig_pass(&mut mq, &mut ctxs, &mut flags, mags, negative, w, h, zc, p)
-            }
-            PassKind::Refinement => enc_ref_pass(&mut mq, &mut ctxs, &mut flags, mags, w, h, p),
-            PassKind::Cleanup => {
-                enc_cleanup_pass(&mut mq, &mut ctxs, &mut flags, mags, negative, w, h, zc, p)
-            }
-        }
-        if clear {
-            for f in &mut flags {
-                *f &= !F_VISITED;
-            }
-        }
+    let (mut pass, mut p) = (PassKind::Cleanup, mb as u32 - 1);
+    for i in 0..total {
+        let c = Encode {
+            mq: &mut mq,
+            mags,
+            negative,
+            p,
+        };
+        let geom = (w, h, w);
+        let _ = match pass {
+            PassKind::Significance => sig_pass(c, &mut ctxs, &mut flags, geom, zc),
+            PassKind::Refinement => ref_pass(c, &mut ctxs, &mut flags, geom),
+            PassKind::Cleanup => cleanup_pass(c, &mut ctxs, &mut flags, geom, zc),
+        };
+        (pass, p) = pass.next(p);
         passes_in_segment += 1;
         if i + 1 == boundaries[next_boundary] {
             let done = std::mem::take(&mut mq);
@@ -452,171 +721,18 @@ pub fn encode_block_layers(
     (segments, mb)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enc_sig_pass(
-    mq: &mut MqEncoder,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &[u32],
-    negative: &[bool],
-    w: usize,
-    h: usize,
-    zc: &[u8; 256],
-    p: u32,
-) {
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
-                let f = flags[i];
-                // Only insignificant samples with a significant
-                // neighbourhood belong to this pass.
-                if f & F_SELF_SIG == 0 && f & F_NEIGH_SIG != 0 {
-                    let bit = (mags[j] >> p) & 1 != 0;
-                    mq.encode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize], bit);
-                    if bit {
-                        let (sc, xor) = sc_lookup(f);
-                        mq.encode(&mut ctxs[sc], negative[j] ^ xor);
-                        set_significant(flags, stride, i, negative[j]);
-                    }
-                    flags[i] |= F_VISITED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-}
+// ---------------------------------------------------------------------------
+// Decoder
+// ---------------------------------------------------------------------------
 
-fn enc_ref_pass(
-    mq: &mut MqEncoder,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &[u32],
-    w: usize,
-    h: usize,
-    p: u32,
-) {
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
-                let f = flags[i];
-                if f & F_SELF_SIG != 0 && f & F_VISITED == 0 {
-                    mq.encode(&mut ctxs[mr_lookup(f)], (mags[j] >> p) & 1 != 0);
-                    flags[i] |= F_REFINED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enc_cleanup_pass(
-    mq: &mut MqEncoder,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &[u32],
-    negative: &[bool],
-    w: usize,
-    h: usize,
-    zc: &[u8; 256],
-    p: u32,
-) {
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let mut dy = 0;
-            // Run-length mode: a full stripe column, all four samples
-            // uncoded, insignificant and with empty neighbourhoods —
-            // a single OR over the four flags words decides.
-            if sh == 4 {
-                let combined = flags[col_i]
-                    | flags[col_i + stride]
-                    | flags[col_i + 2 * stride]
-                    | flags[col_i + 3 * stride];
-                if combined & (F_SELF_SIG | F_VISITED | F_NEIGH_SIG) == 0 {
-                    let first_one = (0..4).find(|&k| (mags[col_j + k * w] >> p) & 1 != 0);
-                    match first_one {
-                        None => {
-                            mq.encode(&mut ctxs[CTX_RL], false);
-                            col_i += 1;
-                            col_j += 1;
-                            continue; // whole column stays zero
-                        }
-                        Some(k) => {
-                            mq.encode(&mut ctxs[CTX_RL], true);
-                            mq.encode(&mut ctxs[CTX_UNI], k & 2 != 0);
-                            mq.encode(&mut ctxs[CTX_UNI], k & 1 != 0);
-                            let i = col_i + k * stride;
-                            let j = col_j + k * w;
-                            let (sc, xor) = sc_lookup(flags[i]);
-                            mq.encode(&mut ctxs[sc], negative[j] ^ xor);
-                            set_significant(flags, stride, i, negative[j]);
-                            dy = k + 1;
-                        }
-                    }
-                }
-            }
-            // Remaining samples of the column: normal cleanup coding.
-            let (mut i, mut j) = (col_i + dy * stride, col_j + dy * w);
-            while dy < sh {
-                let f = flags[i];
-                if f & (F_SELF_SIG | F_VISITED) == 0 {
-                    let bit = (mags[j] >> p) & 1 != 0;
-                    mq.encode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize], bit);
-                    if bit {
-                        let (sc, xor) = sc_lookup(f);
-                        mq.encode(&mut ctxs[sc], negative[j] ^ xor);
-                        set_significant(flags, stride, i, negative[j]);
-                    }
-                }
-                i += stride;
-                j += w;
-                dy += 1;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-}
-
-/// Reusable Tier-1 decode buffers: the flags lattice plus the magnitude
-/// and sign planes. One instance serves any sequence of code-blocks (the
-/// buffers grow to the largest block seen and are reused), eliminating
-/// the three per-block allocations of the plain
-/// [`decode_block_segments`].
+/// Reusable Tier-1 decode state: the stripe state words, grown to the
+/// largest code-block seen and reused, plus the work counters. The
+/// coefficients go straight into the caller's plane
+/// ([`T1Scratch::decode_into`]), so the scratch holds no per-block
+/// planes.
 #[derive(Debug, Clone, Default)]
 pub struct T1Scratch {
     flags: Vec<u32>,
-    mags: Vec<u32>,
-    negative: Vec<bool>,
     counters: T1Counters,
 }
 
@@ -645,6 +761,11 @@ impl T1Counters {
     }
 }
 
+/// The largest bit-plane count [`T1Scratch::decode_into`] accepts: every
+/// magnitude below `1 << 30` fits an `i32` coefficient with its sign.
+/// The codec passes at most [`crate::codec::KMAX`] = 18.
+const MAX_BITPLANES: u8 = 30;
+
 impl T1Scratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
@@ -656,32 +777,115 @@ impl T1Scratch {
         self.counters
     }
 
-    /// Decodes a code-block like [`decode_block_segments`], but into this
-    /// scratch's reused buffers. The returned slices are valid until the
-    /// next call.
-    pub fn decode_block_segments(
+    /// Decodes a code-block from one or more terminated codeword
+    /// segments (the layered form of [`encode_block_layers`]) straight
+    /// into a coefficient plane: sample `(x, y)` lands in
+    /// `out[y * stride + x]` as a signed magnitude. `mb` is the bit-plane
+    /// count signalled by the packet header's zero-bit-plane field; fewer
+    /// passes than the full schedule yield the standard's partial
+    /// (quality-truncated) reconstruction.
+    ///
+    /// `out`'s block region must be zero on entry: a sample turning
+    /// significant is stored, later refinement bits are added to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mb` exceeds 30 (the `i32` plane's bound), if
+    /// `stride < w`, or if `out` is too short for `h` rows of `stride`
+    /// (the last one `w` long).
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode_into(
         &mut self,
         segments: &[(&[u8], u32)],
         w: usize,
         h: usize,
         kind: BandKind,
         mb: u8,
-    ) -> (&[u32], &[bool]) {
-        let renorms = decode_segments_core(
-            &mut self.flags,
-            &mut self.mags,
-            &mut self.negative,
-            segments,
-            w,
-            h,
-            kind,
-            mb,
-        );
+        out: &mut [i32],
+        stride: usize,
+    ) {
+        assert!(mb <= MAX_BITPLANES, "{mb} bit-planes overflow i32");
         self.counters.blocks += 1;
         self.counters.coding_passes += segments.iter().map(|&(_, n)| n as u64).sum::<u64>();
         self.counters.bytes_in += segments.iter().map(|&(d, _)| d.len() as u64).sum::<u64>();
-        self.counters.mq_renorms += renorms;
-        (&self.mags, &self.negative)
+        if mb == 0 || w == 0 || h == 0 {
+            return;
+        }
+        assert!(
+            stride >= w && out.len() >= (h - 1) * stride + w,
+            "a {w}x{h} block does not fit a plane of {} samples with stride {stride}",
+            out.len()
+        );
+        reset_flags(&mut self.flags, w, h);
+        let zc = zc_lut(kind);
+        let geom = (w, h, stride);
+        let mut ctxs = initial_contexts();
+        let (mut pass, mut p) = (PassKind::Cleanup, mb as u32 - 1);
+        let mut left = 3 * mb as u32 - 2; // passes left in the schedule
+        for &(data, n) in segments {
+            if left == 0 {
+                break;
+            }
+            let mut mq = MqDecoder::new(data);
+            for _ in 0..n.min(left) {
+                let c = Decode {
+                    mq,
+                    out: &mut *out,
+                    one: 1 << p,
+                };
+                let flags = &mut self.flags;
+                mq = match pass {
+                    PassKind::Significance => sig_pass(c, &mut ctxs, flags, geom, zc).mq,
+                    PassKind::Refinement => ref_pass(c, &mut ctxs, flags, geom).mq,
+                    PassKind::Cleanup => cleanup_pass(c, &mut ctxs, flags, geom, zc).mq,
+                };
+                (pass, p) = pass.next(p);
+            }
+            left -= n.min(left);
+            self.counters.mq_renorms += mq.renorms();
+        }
+    }
+}
+
+/// The decoder's side of each decision: taken from the MQ codeword,
+/// written into the coefficient plane.
+struct Decode<'a, 'o> {
+    mq: MqDecoder<'a>,
+    out: &'o mut [i32],
+    /// `1 << p` for the pass's plane `p`.
+    one: i32,
+}
+
+impl Coder for Decode<'_, '_> {
+    #[inline(always)]
+    fn bit(&mut self, cx: &mut MqContext, _i: usize) -> bool {
+        self.mq.decode(cx)
+    }
+
+    #[inline(always)]
+    fn sign(&mut self, cx: &mut MqContext, xor: bool, i: usize) -> bool {
+        let neg = self.mq.decode(cx) ^ xor;
+        self.out[i] = select(neg, -self.one, self.one);
+        neg
+    }
+
+    #[inline(always)]
+    fn refine(&mut self, cx: &mut MqContext, i: usize) {
+        // Branch-free: refinement bits are near-random, so a branch on
+        // them would mispredict. `(b ^ s) - s` is `b` with `v`'s sign.
+        let b = self.one & -(self.mq.decode(cx) as i32);
+        let v = self.out[i];
+        let s = v >> 31;
+        self.out[i] = v + ((b ^ s) - s);
+    }
+
+    #[inline(always)]
+    fn run(&mut self, ctxs: &mut Contexts, _i: usize, _stride: usize) -> Option<u32> {
+        if !self.mq.decode(&mut ctxs[CTX_RL]) {
+            return None;
+        }
+        let hi = self.mq.decode(&mut ctxs[CTX_UNI]) as u32;
+        Some(hi << 1 | self.mq.decode(&mut ctxs[CTX_UNI]) as u32)
     }
 }
 
@@ -703,11 +907,8 @@ pub fn decode_block(
     decode_block_segments(&[(data, num_passes)], w, h, kind, mb as u8)
 }
 
-/// Decodes a code-block from one or more terminated codeword segments
-/// (the layered form of [`encode_block_layers`]). `mb` is the bit-plane
-/// count signalled by the packet header's zero-bit-plane field; fewer
-/// passes than the full schedule yield the standard's partial (quality-
-/// truncated) reconstruction.
+/// [`T1Scratch::decode_into`] on a fresh scratch and plane, split into
+/// `(magnitudes, negative)` arrays.
 pub fn decode_block_segments(
     segments: &[(&[u8], u32)],
     w: usize,
@@ -715,237 +916,12 @@ pub fn decode_block_segments(
     kind: BandKind,
     mb: u8,
 ) -> (Vec<u32>, Vec<bool>) {
-    let mut flags = Vec::new();
-    let mut mags = Vec::new();
-    let mut negative = Vec::new();
-    decode_segments_core(
-        &mut flags,
-        &mut mags,
-        &mut negative,
-        segments,
-        w,
-        h,
-        kind,
-        mb,
-    );
-    (mags, negative)
-}
-
-/// Returns the number of MQ renormalisations performed, summed across
-/// every codeword segment of the block.
-#[allow(clippy::too_many_arguments)]
-fn decode_segments_core(
-    flags: &mut Vec<u32>,
-    mags: &mut Vec<u32>,
-    negative: &mut Vec<bool>,
-    segments: &[(&[u8], u32)],
-    w: usize,
-    h: usize,
-    kind: BandKind,
-    mb: u8,
-) -> u64 {
-    mags.clear();
-    mags.resize(w * h, 0);
-    negative.clear();
-    negative.resize(w * h, false);
-    if mb == 0 || w == 0 || h == 0 || segments.is_empty() {
-        return 0;
-    }
-    flags.clear();
-    flags.resize((w + 2) * (h + 2), 0);
-    let zc = zc_lut(kind);
-    let seq = pass_sequence(mb as u32);
-    let total_passes: u32 = segments.iter().map(|&(_, n)| n).sum();
-    let mut ctxs = initial_contexts();
-    let mut seg_iter = segments.iter();
-    let (mut seg_data, mut seg_left) = match seg_iter.next() {
-        Some(&(d, n)) => (d, n),
-        None => return 0,
-    };
-    let mut renorms = 0u64;
-    let mut mq = MqDecoder::new(seg_data);
-    for &(pass, p, clear) in seq.iter().take(total_passes as usize) {
-        while seg_left == 0 {
-            match seg_iter.next() {
-                Some(&(d, n)) => {
-                    seg_data = d;
-                    seg_left = n;
-                    renorms += mq.renorms();
-                    mq = MqDecoder::new(seg_data);
-                }
-                None => return renorms + mq.renorms(),
-            }
-        }
-        match pass {
-            PassKind::Significance => {
-                dec_sig_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
-            }
-            PassKind::Refinement => dec_ref_pass(&mut mq, &mut ctxs, flags, mags, w, h, p),
-            PassKind::Cleanup => {
-                dec_cleanup_pass(&mut mq, &mut ctxs, flags, mags, negative, w, h, zc, p)
-            }
-        }
-        if clear {
-            for f in flags.iter_mut() {
-                *f &= !F_VISITED;
-            }
-        }
-        seg_left -= 1;
-    }
-    renorms + mq.renorms()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dec_sig_pass(
-    dec: &mut MqDecoder<'_>,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &mut [u32],
-    negative: &mut [bool],
-    w: usize,
-    h: usize,
-    zc: &[u8; 256],
-    p: u32,
-) {
-    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
-                let f = flags[i];
-                if f & F_SELF_SIG == 0 && f & F_NEIGH_SIG != 0 {
-                    let bit = mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize]);
-                    if bit {
-                        let (sc, xor) = sc_lookup(f);
-                        let neg = mq.decode(&mut ctxs[sc]) ^ xor;
-                        negative[j] = neg;
-                        mags[j] |= 1 << p;
-                        set_significant(flags, stride, i, neg);
-                    }
-                    flags[i] |= F_VISITED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-    *dec = mq;
-}
-
-fn dec_ref_pass(
-    dec: &mut MqDecoder<'_>,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &mut [u32],
-    w: usize,
-    h: usize,
-    p: u32,
-) {
-    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let (mut i, mut j) = (col_i, col_j);
-            for _dy in 0..sh {
-                let f = flags[i];
-                if f & F_SELF_SIG != 0 && f & F_VISITED == 0 {
-                    // Unconditional OR: refinement bits are near-random,
-                    // so a branch on them would mispredict.
-                    mags[j] |= (mq.decode(&mut ctxs[mr_lookup(f)]) as u32) << p;
-                    flags[i] |= F_REFINED;
-                }
-                i += stride;
-                j += w;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-    *dec = mq;
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dec_cleanup_pass(
-    dec: &mut MqDecoder<'_>,
-    ctxs: &mut [MqContext; NUM_CONTEXTS],
-    flags: &mut [u32],
-    mags: &mut [u32],
-    negative: &mut [bool],
-    w: usize,
-    h: usize,
-    zc: &[u8; 256],
-    p: u32,
-) {
-    let mut mq = *dec; // pass-local, so A, C and CT stay in registers
-    let stride = w + 2;
-    let mut sy = 0;
-    while sy < h {
-        let sh = (h - sy).min(4);
-        let mut col_i = (sy + 1) * stride + 1;
-        let mut col_j = sy * w;
-        let col_end = col_i + w;
-        while col_i < col_end {
-            let mut dy = 0;
-            if sh == 4 {
-                let combined = flags[col_i]
-                    | flags[col_i + stride]
-                    | flags[col_i + 2 * stride]
-                    | flags[col_i + 3 * stride];
-                if combined & (F_SELF_SIG | F_VISITED | F_NEIGH_SIG) == 0 {
-                    if !mq.decode(&mut ctxs[CTX_RL]) {
-                        col_i += 1;
-                        col_j += 1;
-                        continue; // whole column zero
-                    }
-                    let k = ((mq.decode(&mut ctxs[CTX_UNI]) as usize) << 1)
-                        | mq.decode(&mut ctxs[CTX_UNI]) as usize;
-                    let i = col_i + k * stride;
-                    let j = col_j + k * w;
-                    let (sc, xor) = sc_lookup(flags[i]);
-                    let neg = mq.decode(&mut ctxs[sc]) ^ xor;
-                    negative[j] = neg;
-                    mags[j] |= 1 << p;
-                    set_significant(flags, stride, i, neg);
-                    dy = k + 1;
-                }
-            }
-            let (mut i, mut j) = (col_i + dy * stride, col_j + dy * w);
-            while dy < sh {
-                let f = flags[i];
-                if f & (F_SELF_SIG | F_VISITED) == 0
-                    && mq.decode(&mut ctxs[CTX_ZC + zc[(f & 0xFF) as usize] as usize])
-                {
-                    let (sc, xor) = sc_lookup(f);
-                    let neg = mq.decode(&mut ctxs[sc]) ^ xor;
-                    negative[j] = neg;
-                    mags[j] |= 1 << p;
-                    set_significant(flags, stride, i, neg);
-                }
-                i += stride;
-                j += w;
-                dy += 1;
-            }
-            col_i += 1;
-            col_j += 1;
-        }
-        sy += 4;
-    }
-    *dec = mq;
+    let mut plane = vec![0i32; w * h];
+    T1Scratch::new().decode_into(segments, w, h, kind, mb, &mut plane, w);
+    (
+        plane.iter().map(|v| v.unsigned_abs()).collect(),
+        plane.iter().map(|&v| v < 0).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -1146,11 +1122,19 @@ mod tests {
     #[test]
     fn initial_context_states() {
         let c = initial_contexts();
-        assert_eq!(c[CTX_UNI].state, 46);
-        assert_eq!(c[CTX_RL].state, 3);
-        assert_eq!(c[CTX_ZC].state, 4);
-        assert_eq!(c[CTX_ZC + 1].state, 0);
-        assert_eq!(c[CTX_SC].state, 0);
+        assert_eq!(c[CTX_UNI].state(), 46);
+        assert_eq!(c[CTX_RL].state(), 3);
+        assert_eq!(c[CTX_ZC].state(), 4);
+        assert_eq!(c[CTX_ZC + 1].state(), 0);
+        assert_eq!(c[CTX_SC].state(), 0);
+    }
+
+    /// Splits a signed coefficient plane into `(magnitudes, negative)`.
+    fn split(plane: &[i32]) -> (Vec<u32>, Vec<bool>) {
+        (
+            plane.iter().map(|v| v.unsigned_abs()).collect(),
+            plane.iter().map(|&v| v < 0).collect(),
+        )
     }
 
     #[test]
@@ -1162,90 +1146,128 @@ mod tests {
             let enc = encode_block(&mags, &neg, w, h, BandKind::Hl);
             let plain = decode_block(&enc.data, w, h, BandKind::Hl, enc.num_passes);
             let mb = enc.num_passes.div_ceil(3) as u8;
-            let (sm, sn) = scratch.decode_block_segments(
-                &[(&enc.data, enc.num_passes)],
-                w,
-                h,
-                BandKind::Hl,
-                mb,
-            );
-            assert_eq!(sm, plain.0.as_slice(), "{w}x{h}");
-            assert_eq!(sn, plain.1.as_slice(), "{w}x{h}");
+            let mut plane = vec![0i32; w * h];
+            let segs: &[(&[u8], u32)] = &[(&enc.data, enc.num_passes)];
+            scratch.decode_into(segs, w, h, BandKind::Hl, mb, &mut plane, w);
+            let (sm, sn) = split(&plane);
+            assert_eq!(sm, plain.0, "{w}x{h}");
+            assert_eq!(sn, plain.1, "{w}x{h}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn decode_into_rejects_a_plane_too_small_for_the_block() {
+        let (mags, neg) = random_block(8, 8, 5, 0.5, 255);
+        let enc = encode_block(&mags, &neg, 8, 8, BandKind::Ll);
+        let mut plane = vec![0i32; 8 * 7 + 7];
+        let segs: &[(&[u8], u32)] = &[(&enc.data, enc.num_passes)];
+        T1Scratch::new().decode_into(segs, 8, 8, BandKind::Ll, enc.num_bitplanes, &mut plane, 8);
+    }
+
+    #[test]
+    fn decode_into_writes_only_its_block_at_an_offset() {
+        let (pw, ph) = (40usize, 30usize);
+        let cases = [
+            (16usize, 13usize, 5usize, 7usize, BandKind::Hh, 1u64),
+            (1, 9, 39, 0, BandKind::Ll, 2),
+            (23, 4, 0, 26, BandKind::Lh, 3),
+            (7, 30, 20, 0, BandKind::Hl, 4),
+        ];
+        for (w, h, x0, y0, kind, seed) in cases {
+            let (mags, neg) = random_block(w, h, seed, 0.5, (1 << 18) - 1);
+            let enc = encode_block(&mags, &neg, w, h, kind);
+            let (rm, rn) = reference::decode_block(&enc.data, w, h, kind, enc.num_passes);
+            let mut plane = vec![0i32; pw * ph];
+            let segs: &[(&[u8], u32)] = &[(&enc.data, enc.num_passes)];
+            let at = y0 * pw + x0;
+            T1Scratch::new().decode_into(segs, w, h, kind, enc.num_bitplanes, &mut plane[at..], pw);
+            for y in 0..ph {
+                for x in 0..pw {
+                    let v = plane[y * pw + x];
+                    if (x0..x0 + w).contains(&x) && (y0..y0 + h).contains(&y) {
+                        let j = (y - y0) * w + x - x0;
+                        let m = rm[j] as i32;
+                        assert_eq!(v, if rn[j] { -m } else { m }, "{w}x{h} at ({x}, {y})");
+                    } else {
+                        assert_eq!(v, 0, "{w}x{h} wrote outside its block at ({x}, {y})");
+                    }
+                }
+            }
         }
     }
 
     // -----------------------------------------------------------------
     // LUT-vs-oracle checks: the compile-time tables must agree with the
-    // T.800 context logic (exhaustively) and the lattice coder with the
-    // retained reference implementation (property-tested).
+    // T.800 context logic (exhaustively) and the stripe-state coder with
+    // the retained reference implementation (property-tested).
     // -----------------------------------------------------------------
 
     #[test]
     fn zc_luts_match_oracle_tables_exhaustively() {
-        for f in 0usize..256 {
-            let h = ((f & 1) + ((f >> 1) & 1)) as u32;
-            let v = (((f >> 2) & 1) + ((f >> 3) & 1)) as u32;
-            let d = (f as u32 >> 4).count_ones();
-            assert_eq!(LUT_ZC_HV[f] as usize, zc_table_hv(h, v, d), "flags {f:#x}");
-            assert_eq!(LUT_ZC_VH[f] as usize, zc_table_hv(v, h, d), "flags {f:#x}");
+        // The 3x3 window: bits 0..=2 NW N NE, 3..=5 W centre E, 6..=8 SW S SE.
+        for f in 0usize..512 {
+            let bit = |k: usize| ((f >> k) & 1) as u32;
+            let h = bit(3) + bit(5);
+            let v = bit(1) + bit(7);
+            let d = bit(0) + bit(2) + bit(6) + bit(8);
+            assert_eq!(LUT_ZC_HV[f] as usize, zc_table_hv(h, v, d), "window {f:#x}");
+            assert_eq!(LUT_ZC_VH[f] as usize, zc_table_hv(v, h, d), "window {f:#x}");
             assert_eq!(
                 LUT_ZC_DIAG[f] as usize,
                 zc_table_diag(d, h + v),
-                "flags {f:#x}"
+                "window {f:#x}"
             );
         }
     }
 
     #[test]
     fn sc_lut_matches_reference_grid_exhaustively() {
-        // Enumerate all sign/significance assignments of the 4 h/v
-        // neighbours on a 3x3 reference grid centred on (1, 1).
-        for m in 0usize..256 {
-            let (sw, se, sn, ss) = (m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0);
-            let (nw_, ne_, nn, ns) = (m & 16 != 0, m & 32 != 0, m & 64 != 0, m & 128 != 0);
-            let mut rflags = [0u8; 9];
-            let mut rneg = [false; 9];
-            for (sig, neg, idx) in [
-                (sw, nw_, 3usize), // west of centre
-                (se, ne_, 5),      // east
-                (sn, nn, 1),       // north
-                (ss, ns, 7),       // south
-            ] {
-                if sig {
-                    rflags[idx] = 1; // reference::F_SIG
-                    rneg[idx] = neg;
+        // A 3-wide block of three stripes. The centre sample sits in the
+        // middle stripe at each row in turn, so rows 0 and 3 take their
+        // N or S neighbour, and its sign, from the adjacent stripe.
+        let (w, h) = (3usize, 12usize);
+        let fstride = w + 2;
+        let word = |x: usize, y: usize| (y / 4 + 1) * fstride + x + 1;
+        for ci in 0..4 {
+            let (cx, cy) = (1usize, 4 + ci);
+            // All sign/significance assignments of the 4 h/v neighbours.
+            for m in 0usize..256 {
+                let mut rflags = vec![0u8; w * h];
+                let mut rneg = vec![false; w * h];
+                let mut flags = Vec::new();
+                reset_flags(&mut flags, w, h);
+                let neighbours = [(cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1)];
+                for (k, (x, y)) in neighbours.into_iter().enumerate() {
+                    let (sig, neg) = (m >> k & 1 != 0, m >> (k + 4) & 1 != 0);
+                    if sig {
+                        rflags[y * w + x] = reference::F_SIG;
+                        rneg[y * w + x] = neg;
+                        let fi = word(x, y);
+                        let r = 3 * (y % 4) as u32;
+                        flags[fi] |= set_significant(&mut flags, fi, fstride, r, neg);
+                    }
                 }
+                let grid = reference::Grid {
+                    w,
+                    h,
+                    flags: &rflags,
+                    negative: &rneg,
+                };
+                let fi = word(cx, cy);
+                assert_eq!(
+                    sc_context(&flags, fi, flags[fi], 3 * ci as u32),
+                    grid.sc_context(cx, cy),
+                    "row {ci}, mask {m:#x}"
+                );
             }
-            let grid = reference::Grid {
-                w: 3,
-                h: 3,
-                flags: &rflags,
-                negative: &rneg,
-            };
-            let expect = grid.sc_context(1, 1);
-            // Build the equivalent flags word (sign bits only matter when
-            // the significance bit is set, mirroring set_significant).
-            let mut f = 0u32;
-            if sw {
-                f |= F_SIG_W | if nw_ { F_NEG_W } else { 0 };
-            }
-            if se {
-                f |= F_SIG_E | if ne_ { F_NEG_E } else { 0 };
-            }
-            if sn {
-                f |= F_SIG_N | if nn { F_NEG_N } else { 0 };
-            }
-            if ss {
-                f |= F_SIG_S | if ns { F_NEG_S } else { 0 };
-            }
-            assert_eq!(sc_lookup(f), expect, "mask {m:#x}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The flags-lattice encoder emits byte-identical segments to the
+        /// The stripe-state encoder emits byte-identical segments to the
         /// reference encoder over random geometries (1×1 up to 64×64),
         /// all four band orientations, lossless-scale and lossy-scale
         /// magnitudes, and any layer count.
@@ -1267,7 +1289,7 @@ mod tests {
             prop_assert_eq!(fast, refr);
         }
 
-        /// The flags-lattice decoder reconstructs exactly what the
+        /// The stripe-state decoder reconstructs exactly what the
         /// reference decoder does, including partial (pass-truncated)
         /// segment sets.
         #[test]
@@ -1288,6 +1310,41 @@ mod tests {
                 let segs: &[(&[u8], u32)] = &[(&enc.data, keep)];
                 let fast = decode_block_segments(segs, w, h, kind, mb);
                 let refr = reference::decode_block_segments(segs, w, h, kind, mb);
+                prop_assert_eq!(fast, refr);
+            }
+        }
+
+        /// Layered decodes match the reference for any kept prefix of
+        /// 1..=6 segments whose last segment is cut to a prefix of its
+        /// passes and of its bytes, on every orientation and on heights
+        /// that are not multiples of 4, with magnitudes up to 2^18 − 1.
+        #[test]
+        fn layered_decode_is_bit_exact_vs_reference(
+            w in 1usize..=64,
+            h in 1usize..=64,
+            kind_sel in 0usize..4,
+            layers in 1usize..=6,
+            keep_sel in any::<usize>(),
+            cut_passes in any::<u32>(),
+            cut_bytes in any::<usize>(),
+            dense in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let kind = [BandKind::Ll, BandKind::Hl, BandKind::Lh, BandKind::Hh][kind_sel];
+            let (zero_prob, max_mag) = if dense { (0.3, (1 << 18) - 1) } else { (0.85, 255) };
+            let (mags, neg) = random_block(w, h, seed, zero_prob, max_mag);
+            let (segments, mb) = encode_block_layers(&mags, &neg, w, h, kind, layers);
+            if !segments.is_empty() {
+                let keep = 1 + keep_sel % segments.len();
+                let mut segs: Vec<(&[u8], u32)> = segments[..keep]
+                    .iter()
+                    .map(|s| (s.data.as_slice(), s.num_passes))
+                    .collect();
+                let last = segs.last_mut().expect("one segment kept");
+                last.0 = &last.0[..cut_bytes % (last.0.len() + 1)];
+                last.1 = cut_passes % (last.1 + 1);
+                let fast = decode_block_segments(&segs, w, h, kind, mb);
+                let refr = reference::decode_block_segments(&segs, w, h, kind, mb);
                 prop_assert_eq!(fast, refr);
             }
         }

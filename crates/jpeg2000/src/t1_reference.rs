@@ -1,5 +1,5 @@
 //! The pre-optimisation Tier-1 implementation, retained verbatim as the
-//! bit-exactness oracle for the flags-lattice fast path in [`super`].
+//! bit-exactness oracle for the stripe-state fast path in [`super`].
 //!
 //! Every context here is recomputed from scratch with bounds-checked
 //! neighbour scans — slow, but a direct transcription of the T.800

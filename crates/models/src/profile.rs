@@ -231,7 +231,7 @@ mod tests {
             let eet = measure_arith_eet(mode, 3);
             assert!(eet.measured_ns > 0);
             assert_eq!(eet.paper, ARITH_PER_TILE);
-            // The flags-lattice kernel should not regress below the
+            // The Tier-1 kernel should not regress below the
             // pre-optimisation baseline; a wide margin keeps the test
             // robust on loaded CI machines. The baseline was measured
             // on an optimised build, so the comparison only means
