@@ -239,7 +239,6 @@ struct Shared {
     blackholed: AtomicU64,
     upstream: Mutex<ChaosStats>,
     downstream: Mutex<ChaosStats>,
-    pumps: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running chaos proxy. See the [module docs](self).
@@ -271,7 +270,6 @@ impl ChaosProxy {
             blackholed: AtomicU64::new(0),
             upstream: Mutex::new(ChaosStats::default()),
             downstream: Mutex::new(ChaosStats::default()),
-            pumps: Mutex::new(Vec::new()),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -303,8 +301,8 @@ impl ChaosProxy {
         }
     }
 
-    /// Stops accepting, tears down every relayed connection, joins all
-    /// pump threads and returns the final stats.
+    /// Stops accepting, tears down every relayed connection, waits for
+    /// all pump threads and returns the final stats.
     pub fn shutdown(mut self) -> ChaosProxyStats {
         self.stop();
         self.stats()
@@ -314,11 +312,8 @@ impl ChaosProxy {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() so it observes the flag.
         let _ = TcpStream::connect(self.local_addr);
+        // The acceptor's scope returns only once every pump has ended.
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let pumps: Vec<_> = lock_unpoisoned(&self.shared.pumps).drain(..).collect();
-        for h in pumps {
             let _ = h.join();
         }
     }
@@ -332,17 +327,17 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// Accepts connections until shutdown and relays each on pump threads
+/// in this thread's scope. A pump's handle is dropped at once, so a
+/// finished pump's thread and stack go when it ends, not at shutdown;
+/// the scope still waits for every pump before this returns.
+fn accept_loop(shared: &Shared, listener: &TcpListener) {
     let mut next_conn = 0u64;
-    loop {
+    std::thread::scope(|scope| loop {
         let client = match listener.accept() {
             Ok((s, _)) => s,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
+            Err(_) => continue,
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -350,9 +345,13 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         let conn = next_conn;
         next_conn += 1;
         shared.connections.fetch_add(1, Ordering::Relaxed);
+        // A pump that cannot start drops its streams with its closure,
+        // which closes the connection.
         if shared.config.blackholes(conn) {
             shared.blackholed.fetch_add(1, Ordering::Relaxed);
-            spawn_pump(shared, "chaos-hole", move |sh| blackhole(sh, &client));
+            let _ = std::thread::Builder::new()
+                .name("chaos-hole".into())
+                .spawn_scoped(scope, move || blackhole(shared, &client));
             continue;
         }
         let backend = match TcpStream::connect(shared.target) {
@@ -365,30 +364,25 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         // the peer's delayed ACK, ~40 ms per hop.
         let _ = client.set_nodelay(true);
         let _ = backend.set_nodelay(true);
-        let client_dn = match client.try_clone() {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        let backend_dn = match backend.try_clone() {
-            Ok(b) => b,
-            Err(_) => continue,
-        };
-        spawn_pump(shared, "chaos-up", move |sh| {
-            pump(sh, STREAM_UP, conn, &client, &backend);
-        });
-        spawn_pump(shared, "chaos-down", move |sh| {
-            pump(sh, STREAM_DOWN, conn, &backend_dn, &client_dn);
-        });
-    }
-}
-
-fn spawn_pump(shared: &Arc<Shared>, name: &str, body: impl FnOnce(&Shared) + Send + 'static) {
-    let sh = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || body(&sh))
-        .expect("spawn chaos pump");
-    lock_unpoisoned(&shared.pumps).push(handle);
+        // The upstream pump starts the downstream one, so it still owns
+        // both streams, and closes them, if that spawn fails.
+        let _ = std::thread::Builder::new()
+            .name("chaos-up".into())
+            .spawn_scoped(scope, move || {
+                let (Ok(client_dn), Ok(backend_dn)) = (client.try_clone(), backend.try_clone())
+                else {
+                    return;
+                };
+                let down = std::thread::Builder::new()
+                    .name("chaos-down".into())
+                    .spawn_scoped(scope, move || {
+                        pump(shared, STREAM_DOWN, conn, &backend_dn, &client_dn);
+                    });
+                if down.is_ok() {
+                    pump(shared, STREAM_UP, conn, &client, &backend);
+                }
+            });
+    });
 }
 
 /// Swallows a blackholed connection: reads and discards until the peer

@@ -383,47 +383,51 @@ impl StreamHasher {
         }
     }
 
-    /// The key of `bytes`. Each hash runs in four lanes over `k⁴`
-    /// (lane `j` takes chunks `j, j + 4, …` of the whole 28-byte
-    /// blocks), recombined as `lane₀·k³ + lane₁·k² + lane₂·k + lane₃`,
-    /// then finishes the tail chunks by Horner — the same polynomial,
-    /// with eight independent multiply chains instead of two.
+    /// The key of `bytes`: its length and one hash per key.
     fn key(&self, bytes: &[u8]) -> StreamKey {
-        let k4 = self.keys.map(|k| {
-            let k2 = canonical(mul_lazy(k, k));
-            canonical(mul_lazy(k2, k2))
-        });
-        let mut lanes = [[0u64; 4]; 2];
-        let (blocks, tail) = bytes.as_chunks::<28>();
-        for block in blocks {
-            let word = |at: usize| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&block[at..at + 8]);
-                u64::from_le_bytes(w)
-            };
-            let m = [
-                word(0) & CHUNK_MASK,
-                word(7) & CHUNK_MASK,
-                word(14) & CHUNK_MASK,
-                word(20) >> 8,
-            ];
-            for (lane, &k4) in lanes.iter_mut().zip(&k4) {
-                for (l, &m) in lane.iter_mut().zip(&m) {
-                    *l = mul_lazy(*l, k4) + m;
-                }
-            }
-        }
-        let [h1, h2] = [0, 1].map(|i| {
-            let k = self.keys[i];
-            let h = lanes[i].iter().fold(0, |h, &l| mul_lazy(h, k) + l);
-            canonical(tail.chunks(7).fold(h, |h, c| mul_lazy(h, k) + chunk(c)))
-        });
+        let [h1, h2] = self.keys.map(|k| poly_hash(bytes, k));
         StreamKey {
             len: bytes.len(),
             h1,
             h2,
         }
     }
+}
+
+/// Horner's `Σ mᵢ·k^(n−1−i)` over the 7-byte chunks of `bytes`, in
+/// `[0, 2^61 − 1)`. It runs in eight lanes over `k⁸` (lane `j` takes
+/// chunks `j, j + 8, …` of the whole 56-byte blocks), recombined as
+/// `lane₀·k⁷ + lane₁·k⁶ + … + lane₇`, then finishes the tail chunks by
+/// Horner — the same polynomial, with eight independent multiply chains
+/// instead of one. One key per pass keeps the lanes, `k⁸` and the mask
+/// in registers.
+fn poly_hash(bytes: &[u8], k: u64) -> u64 {
+    let k2 = canonical(mul_lazy(k, k));
+    let k4 = canonical(mul_lazy(k2, k2));
+    let k8 = canonical(mul_lazy(k4, k4));
+    let mut lanes = [0u64; 8];
+    let (blocks, tail) = bytes.as_chunks::<56>();
+    for block in blocks {
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&block[at..at + 8]);
+            u64::from_le_bytes(w)
+        };
+        // Chunk `j` is bytes `7j..7j + 7`; the last is loaded from byte
+        // 48 and shifted down, so no load leaves the block.
+        let m: [u64; 8] = std::array::from_fn(|j| {
+            if j < 7 {
+                word(7 * j) & CHUNK_MASK
+            } else {
+                word(48) >> 8
+            }
+        });
+        for (l, m) in lanes.iter_mut().zip(m) {
+            *l = mul_lazy(*l, k8) + m;
+        }
+    }
+    let h = lanes.iter().fold(0, |h, &l| mul_lazy(h, k) + l);
+    canonical(tail.chunks(7).fold(h, |h, c| mul_lazy(h, k) + chunk(c)))
 }
 
 /// The low 56 bits: one 7-byte chunk of an 8-byte little-endian load.
@@ -1936,7 +1940,7 @@ mod tests {
     }
 
     /// One-lane Horner over GF(2^61 − 1), reduced with `%` at every
-    /// step: the definition the four-lane, lazily reduced hash must
+    /// step: the definition the eight-lane, lazily reduced hash must
     /// equal.
     fn horner(bytes: &[u8], k: u64) -> u64 {
         bytes.chunks(7).fold(0, |h, c| {
@@ -1946,7 +1950,7 @@ mod tests {
     }
 
     #[test]
-    fn four_lane_hash_equals_horner_at_every_length() {
+    fn eight_lane_hash_equals_horner_at_every_length() {
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let noise: Vec<u8> = (0..25_300)
             .map(|_| {

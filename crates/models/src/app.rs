@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use jpeg2000::codec::{StagedDecoder, TileCoeffs, TileSamples, TileWavelet};
 use jpeg2000::image::Image;
 use osss_core::sched::{Arbiter, Fcfs, RoundRobin, StaticPriority};
-use osss_core::{SharedObject, SwTask, TaskEnv};
+use osss_core::{CallOptions, SharedObject, SwTask, TaskEnv};
 use osss_sim::probe::MetricsRegistry;
 use osss_sim::trace::Tracer;
 use osss_sim::{lock_unpoisoned, Context, SimError, SimReport, SimResult, SimTime, Simulation};
@@ -191,7 +191,9 @@ impl Serialise for Words {
 pub(crate) enum Port<T> {
     /// An Application-Layer OSSS method call whose body first charges
     /// the given delay: the object's grant latency plus any tile copy.
-    Direct(SharedObject<T>, SimTime),
+    /// The call requests its grant at the given priority, which only a
+    /// static-priority arbiter reads.
+    Direct(SharedObject<T>, SimTime, u32),
     /// A VTA remote method invocation over a channel.
     Rmi(RmiService<T>),
 }
@@ -199,7 +201,7 @@ pub(crate) enum Port<T> {
 impl<T> Clone for Port<T> {
     fn clone(&self) -> Self {
         match self {
-            Port::Direct(so, delay) => Port::Direct(so.clone(), *delay),
+            Port::Direct(so, delay, priority) => Port::Direct(so.clone(), *delay, *priority),
             Port::Rmi(rmi) => Port::Rmi(rmi.clone()),
         }
     }
@@ -217,10 +219,13 @@ impl<T: Send + 'static> Port<T> {
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
         match self {
-            Port::Direct(so, delay) => so.call_guarded(ctx, guard, |s, ctx| {
-                ctx.wait(*delay)?;
-                f(s, ctx)
-            }),
+            Port::Direct(so, delay, priority) => {
+                let opts = CallOptions::new().priority(*priority);
+                so.call_guarded_with(ctx, opts, guard, |s, ctx| {
+                    ctx.wait(*delay)?;
+                    f(s, ctx)
+                })
+            }
             Port::Rmi(rmi) => rmi.invoke_guarded(ctx, &Words(words.0), &Words(words.1), guard, f),
         }
     }
@@ -560,14 +565,16 @@ pub(crate) fn pipeline(
     // The grant latency grows with an object's clients: the software
     // tasks plus IDWT2D and the two filter blocks at the HW/SW object,
     // the three IDWT components at the params object. Tiles are also
-    // copied into and out of the HW/SW object's storage.
-    let hwsw_port = Port::Direct(hwsw.clone(), so_arb_delay(tasks + 3) + so_copy_time());
+    // copied into and out of the HW/SW object's storage. Software task k
+    // requests at priority k + 1, above the IDWT blocks' 0.
+    let hwsw_delay = so_arb_delay(tasks + 3) + so_copy_time();
     for k in 0..tasks {
-        run.spawn_sw_task(k, tasks, None, hwsw_port.clone());
+        let port = Port::Direct(hwsw.clone(), hwsw_delay, k as u32 + 1);
+        run.spawn_sw_task(k, tasks, None, port);
     }
     run.spawn_idwt_blocks(
-        hwsw_port,
-        Port::Direct(params.clone(), so_arb_delay(3)),
+        Port::Direct(hwsw.clone(), hwsw_delay, 0),
+        Port::Direct(params.clone(), so_arb_delay(3), 0),
         Layer::App,
     );
     let report = run.simulate()?;
@@ -583,7 +590,9 @@ pub enum ArbPolicy {
     Fcfs,
     /// Round-robin over client identities.
     RoundRobin,
-    /// Static priority (software tasks get ascending priorities).
+    /// Static priority: software task k requests at priority k + 1, so
+    /// later tasks win over earlier ones and every task over the IDWT
+    /// blocks (priority 0); ties go by arrival.
     StaticPriority,
 }
 

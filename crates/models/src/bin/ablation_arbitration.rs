@@ -14,6 +14,7 @@ fn main() {
         "policy", "dec ll [ms]", "dec lossy [ms]", "SO wait ll [ms]", "SO wait lossy"
     );
     let mut decode_spread = Vec::new();
+    let mut waits = Vec::new();
     for policy in ArbPolicy::ALL {
         let ll = run_v5_with_policy(ModeSel::Lossless, policy).expect("run");
         let lo = run_v5_with_policy(ModeSel::Lossy, policy).expect("run");
@@ -30,6 +31,18 @@ fn main() {
             lo.so_arbitration_wait.as_ms_f64()
         );
         decode_spread.push(ll.decode_time.as_ms_f64());
+        waits.push((policy, ll.so_arbitration_wait, lo.so_arbitration_wait));
+    }
+    // A policy whose SO waits equal another's in both modes grants in
+    // the same order: it has collapsed into that policy, and the sweep
+    // shows one policy twice.
+    for (i, (a, a_ll, a_lo)) in waits.iter().enumerate() {
+        for (b, b_ll, b_lo) in &waits[i + 1..] {
+            assert!(
+                (a_ll, a_lo) != (b_ll, b_lo),
+                "{a} and {b} give identical SO waits in both modes"
+            );
+        }
     }
     let (min, max) = (
         decode_spread.iter().cloned().fold(f64::INFINITY, f64::min),

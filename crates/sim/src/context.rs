@@ -5,7 +5,7 @@ use std::sync::mpsc::{Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 
 use crate::error::{SimError, SimResult};
-use crate::event::{Event, EventId};
+use crate::event::Event;
 use crate::kernel::{ProcId, Resume, Shared, YieldMsg};
 use crate::lock_unpoisoned;
 use crate::time::SimTime;
@@ -125,34 +125,6 @@ impl Context {
         self.block()
     }
 
-    /// Suspends until any of `events` fires; returns the winner's id.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Terminated`] when the simulation is shutting down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events` is empty.
-    pub fn wait_any(&self, events: &[&Event]) -> SimResult<EventId> {
-        assert!(!events.is_empty(), "wait_any needs at least one event");
-        {
-            let mut st = lock_unpoisoned(&self.shared.state);
-            if st.ended {
-                return Err(SimError::Terminated);
-            }
-            let gen = st.begin_wait(self.pid);
-            for ev in events {
-                st.register_waiter(self.pid, gen, ev.id);
-            }
-        }
-        self.block()?;
-        let st = lock_unpoisoned(&self.shared.state);
-        Ok(st
-            .wake_reason(self.pid)
-            .expect("event wakeup carries its id"))
-    }
-
     /// Suspends until `event` fires or `timeout` elapses; returns whether
     /// the event fired (`false` means the timeout expired first).
     ///
@@ -182,8 +154,7 @@ impl Context {
             st.schedule_proc(self.pid, gen, at);
         }
         self.block()?;
-        let st = lock_unpoisoned(&self.shared.state);
-        Ok(st.wake_reason(self.pid).is_some())
+        Ok(lock_unpoisoned(&self.shared.state).woken_by_event(self.pid))
     }
 
     /// Delta-notifies `event`: waiters resume in the next delta cycle at the
@@ -192,21 +163,11 @@ impl Context {
         lock_unpoisoned(&self.shared.state).notify_delta(event.id);
     }
 
-    /// Immediately notifies `event`: waiters become runnable within the
-    /// current evaluation phase.
-    pub fn notify_now(&self, event: &Event) {
-        lock_unpoisoned(&self.shared.state).fire_event(event.id);
-    }
-
     /// Notifies `event` after `t` of simulated time.
     pub fn notify_after(&self, event: &Event, t: SimTime) {
         let mut st = lock_unpoisoned(&self.shared.state);
         let at = st.now.saturating_add(t);
         st.schedule_event(event.id, at);
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
     }
 
     fn block(&self) -> SimResult<()> {

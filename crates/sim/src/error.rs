@@ -22,10 +22,9 @@ pub enum SimError {
     },
     /// A process reported a modelling error (domain-specific failure).
     Model(String),
-    /// The kernel detected that every process is blocked on events that can
-    /// no longer be notified and no timed activity remains, while at least
-    /// one process expected progress (only reported by [`crate::Simulation::run`]
-    /// when configured to treat quiescence as deadlock).
+    /// The run quiesced — no delta or timed activity remains — while some
+    /// processes were still blocked; reported by
+    /// [`crate::SimReport::expect_all_finished`].
     Deadlock {
         /// Names of the processes still blocked at the end of simulation.
         blocked: Vec<String>,

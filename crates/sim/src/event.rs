@@ -5,15 +5,9 @@ use std::sync::Arc;
 
 use crate::kernel::Shared;
 
-/// Identifier of an event inside one simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) usize);
-
-impl fmt::Display for EventId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "event#{}", self.0)
-    }
-}
+/// Index of an event inside one simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EventId(pub(crate) usize);
 
 /// A cloneable handle to a simulation event.
 ///
@@ -53,11 +47,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// The event's identifier (unique within its simulation).
-    pub fn id(&self) -> EventId {
-        self.id
-    }
-
     /// The debug name given at creation.
     pub fn name(&self) -> String {
         self.shared.event_name(self.id)

@@ -41,15 +41,6 @@ impl fmt::Display for ProcId {
     }
 }
 
-/// How long [`Simulation::run_limit`] should keep going.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunLimit {
-    /// Run until no timed or delta activity remains.
-    Exhausted,
-    /// Run until simulated time would exceed the given instant.
-    Until(SimTime),
-}
-
 /// Boxed process body.
 pub(crate) type ProcessFn = Box<dyn FnOnce(&Context) -> SimResult<()> + Send + 'static>;
 
@@ -107,14 +98,14 @@ enum ProcStatus {
 struct ProcRec {
     name: Arc<str>,
     status: ProcStatus,
-    /// Generation counter: each blocking wait bumps it, making wakeups from
-    /// cancelled/stale sources (lost races of `wait_any`, expired timeouts)
-    /// no-ops.
+    /// Generation counter: each blocking wait bumps it, making the losing
+    /// half of a [`Context::wait_event_timeout`] (the expired deadline or
+    /// the late event) a no-op.
     wait_gen: u64,
-    /// Which event woke the process, if any (None for timed wakeups).
-    wake_reason: Option<EventId>,
-    /// Events this process is currently registered on (for cleanup).
-    registered: Vec<EventId>,
+    /// Whether an event (rather than a timed wakeup) ended the last wait.
+    woken_by_event: bool,
+    /// The event this process is currently registered on (for cleanup).
+    registered: Option<EventId>,
 }
 
 struct EventRec {
@@ -127,13 +118,6 @@ struct PendingSpawn {
     body: ProcessFn,
 }
 
-/// Hook run during the update phase (used by [`crate::prim::Signal`]).
-pub(crate) trait UpdateHook: Send + Sync {
-    /// Applies the pending value; returns the event to delta-notify if the
-    /// observable value changed.
-    fn apply(&self) -> Option<EventId>;
-}
-
 pub(crate) struct SimState {
     pub(crate) now: SimTime,
     seq: u64,
@@ -142,7 +126,6 @@ pub(crate) struct SimState {
     procs: Vec<ProcRec>,
     events: Vec<EventRec>,
     pending_delta: Vec<EventId>,
-    pending_updates: Vec<Arc<dyn UpdateHook>>,
     pending_spawns: Vec<PendingSpawn>,
     pub(crate) ended: bool,
     deltas_total: u64,
@@ -162,7 +145,6 @@ impl SimState {
             procs: Vec::new(),
             events: Vec::new(),
             pending_delta: Vec::new(),
-            pending_updates: Vec::new(),
             pending_spawns: Vec::new(),
             ended: false,
             deltas_total: 0,
@@ -189,7 +171,7 @@ impl SimState {
     /// Registers the calling process as waiting on `eid`.
     pub(crate) fn register_waiter(&mut self, pid: ProcId, gen: u64, eid: EventId) {
         self.events[eid.0].waiters.push((pid, gen));
-        self.procs[pid.0].registered.push(eid);
+        self.procs[pid.0].registered = Some(eid);
     }
 
     /// Marks a process as blocked and returns the fresh wait generation.
@@ -198,7 +180,7 @@ impl SimState {
         let p = &mut self.procs[pid.0];
         p.wait_gen += 1;
         p.status = ProcStatus::Waiting;
-        p.wake_reason = None;
+        p.woken_by_event = false;
         let gen = p.wait_gen;
         if let Some(pr) = &mut self.probe {
             pr.on_begin_wait(pid.0, now);
@@ -221,24 +203,23 @@ impl SimState {
         self.pending_delta.push(eid);
     }
 
-    /// Immediately wakes all current waiters of `eid`.
-    pub(crate) fn fire_event(&mut self, eid: EventId) {
+    /// Wakes all current waiters of `eid`.
+    fn fire_event(&mut self, eid: EventId) {
         let waiters = std::mem::take(&mut self.events[eid.0].waiters);
         for (pid, gen) in waiters {
-            self.wake_proc(pid, gen, Some(eid));
+            self.wake_proc(pid, gen, true);
         }
     }
 
-    fn wake_proc(&mut self, pid: ProcId, gen: u64, reason: Option<EventId>) {
+    fn wake_proc(&mut self, pid: ProcId, gen: u64, by_event: bool) {
         let p = &mut self.procs[pid.0];
         if p.status != ProcStatus::Waiting || p.wait_gen != gen {
             return; // stale wakeup
         }
         p.status = ProcStatus::Runnable;
-        p.wake_reason = reason;
-        // Drop stale registrations on the other events of a `wait_any`.
-        let registered = std::mem::take(&mut p.registered);
-        for eid in registered {
+        p.woken_by_event = by_event;
+        // A deadline that beat its event leaves a stale registration.
+        if let Some(eid) = p.registered.take() {
             self.events[eid.0]
                 .waiters
                 .retain(|&(wp, wg)| !(wp == pid && wg == gen));
@@ -251,16 +232,12 @@ impl SimState {
         }
     }
 
-    pub(crate) fn register_update(&mut self, hook: Arc<dyn UpdateHook>) {
-        self.pending_updates.push(hook);
-    }
-
     pub(crate) fn queue_spawn(&mut self, name: String, body: ProcessFn) {
         self.pending_spawns.push(PendingSpawn { name, body });
     }
 
-    pub(crate) fn wake_reason(&self, pid: ProcId) -> Option<EventId> {
-        self.procs[pid.0].wake_reason
+    pub(crate) fn woken_by_event(&self, pid: ProcId) -> bool {
+        self.procs[pid.0].woken_by_event
     }
 }
 
@@ -312,8 +289,8 @@ impl SimReport {
     }
 }
 
-/// A discrete-event simulation: a set of processes, events and primitives
-/// plus the scheduler that drives them.
+/// A discrete-event simulation: a set of processes and events plus the
+/// scheduler that drives them.
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub struct Simulation {
@@ -376,8 +353,8 @@ impl Simulation {
                 name: Arc::clone(&name_arc),
                 status: ProcStatus::Runnable,
                 wait_gen: 0,
-                wake_reason: None,
-                registered: Vec::new(),
+                woken_by_event: false,
+                registered: None,
             });
             st.runnable.push_back(pid);
         }
@@ -422,33 +399,27 @@ impl Simulation {
         pid
     }
 
-    /// Runs until no activity remains. See [`Simulation::run_limit`].
+    /// Runs until no timed or delta activity remains.
     ///
     /// # Errors
     ///
     /// Propagates the first process panic or model error.
     pub fn run(&mut self) -> SimResult<SimReport> {
-        self.run_limit(RunLimit::Exhausted)
+        self.run_until(SimTime::MAX)
     }
 
-    /// Runs until simulated time would pass `t`. The simulation can be
-    /// resumed by calling a run method again.
+    /// Runs until simulated time would pass `stop`, where time parks if
+    /// activity remains beyond it. The simulation can be resumed by
+    /// calling a run method again.
+    ///
+    /// Each round is an evaluation phase (run every runnable process to
+    /// its next wait), then the delta-notification phase, then, once no
+    /// delta activity remains, a time advance.
     ///
     /// # Errors
     ///
     /// Propagates the first process panic or model error.
-    pub fn run_until(&mut self, t: SimTime) -> SimResult<SimReport> {
-        self.run_limit(RunLimit::Until(t))
-    }
-
-    /// Drives the scheduler: evaluation phase (run every runnable process to
-    /// its next wait), update phase (apply signal writes), delta-notification
-    /// phase, then time advance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first process panic or model error.
-    pub fn run_limit(&mut self, limit: RunLimit) -> SimResult<SimReport> {
+    pub fn run_until(&mut self, stop: SimTime) -> SimResult<SimReport> {
         loop {
             // Evaluation phase.
             loop {
@@ -469,63 +440,34 @@ impl Simulation {
                 self.resume(pid)?;
             }
 
-            // Update phase.
-            let hooks = {
-                let mut st = lock_unpoisoned(&self.shared.state);
-                std::mem::take(&mut st.pending_updates)
-            };
-            let mut changed = Vec::new();
-            for hook in hooks {
-                if let Some(eid) = hook.apply() {
-                    changed.push(eid);
-                }
-            }
-
             // Delta-notification phase.
-            {
-                let mut st = lock_unpoisoned(&self.shared.state);
-                let mut pending = std::mem::take(&mut st.pending_delta);
-                pending.extend(changed);
-                for eid in pending {
-                    st.fire_event(eid);
+            let mut st = lock_unpoisoned(&self.shared.state);
+            for eid in std::mem::take(&mut st.pending_delta) {
+                st.fire_event(eid);
+            }
+            if !st.runnable.is_empty() {
+                st.deltas_total += 1;
+                st.deltas_this_step += 1;
+                if st.deltas_this_step > self.max_deltas_per_step {
+                    return Err(SimError::model(format!(
+                        "delta-cycle overflow at {} (> {} deltas in one step)",
+                        st.now, self.max_deltas_per_step
+                    )));
                 }
-                if !st.runnable.is_empty() {
-                    st.deltas_total += 1;
-                    st.deltas_this_step += 1;
-                    if st.deltas_this_step > self.max_deltas_per_step {
-                        return Err(SimError::model(format!(
-                            "delta-cycle overflow at {} (> {} deltas in one step)",
-                            st.now, self.max_deltas_per_step
-                        )));
-                    }
-                    continue;
-                }
+                continue;
             }
 
             // Timed phase.
-            let advanced = {
-                let mut st = lock_unpoisoned(&self.shared.state);
-                match st.timed.peek() {
-                    None => false,
-                    Some(Reverse(head)) => {
-                        let t = head.time;
-                        if let RunLimit::Until(stop) = limit {
-                            if t > stop {
-                                st.now = stop;
-                                false
-                            } else {
-                                Self::advance_to(&mut st, t);
-                                true
-                            }
-                        } else {
-                            Self::advance_to(&mut st, t);
-                            true
-                        }
-                    }
+            match st.timed.peek() {
+                None => break,
+                Some(Reverse(head)) if head.time > stop => {
+                    st.now = stop;
+                    break;
                 }
-            };
-            if !advanced {
-                break;
+                Some(Reverse(head)) => {
+                    let t = head.time;
+                    Self::advance_to(&mut st, t);
+                }
             }
         }
         Ok(self.report())
@@ -559,7 +501,7 @@ impl Simulation {
             }
         }
         for (pid, gen) in procs {
-            st.wake_proc(pid, gen, None);
+            st.wake_proc(pid, gen, false);
         }
         let depth = st.runnable.len();
         if let Some(pr) = &mut st.probe {
@@ -870,29 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_returns_winning_event() {
-        let mut sim = Simulation::new();
-        let a = sim.event("a");
-        let b = sim.event("b");
-        let b2 = b.clone();
-        sim.spawn_process("notifier", move |ctx| {
-            ctx.notify_after(&b2, SimTime::ns(4));
-            Ok(())
-        });
-        let a2 = a.clone();
-        sim.spawn_process("waiter", move |ctx| {
-            let winner = ctx.wait_any(&[&a2, &b])?;
-            assert_eq!(winner, b.id());
-            Ok(())
-        });
-        sim.run()
-            .expect("run")
-            .expect_all_finished()
-            .expect("all done");
-        drop(a);
-    }
-
-    #[test]
     fn wait_event_timeout_expires() {
         let mut sim = Simulation::new();
         let ev = sim.event("late");
@@ -997,24 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn notify_now_wakes_in_current_eval() {
-        let mut sim = Simulation::new();
-        let ev = sim.event("e");
-        let ev2 = ev.clone();
-        sim.spawn_process("waiter", move |ctx| {
-            ctx.wait_event(&ev2)?;
-            assert_eq!(ctx.now(), SimTime::ZERO);
-            Ok(())
-        });
-        sim.spawn_process("notifier", move |ctx| {
-            ctx.notify_now(&ev);
-            Ok(())
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.finished, 2);
-    }
-
-    #[test]
     fn many_processes_scale() {
         let mut sim = Simulation::new();
         for i in 0..64 {
@@ -1043,7 +944,7 @@ mod tests {
         });
         sim.spawn_process("notifier", move |ctx| {
             ctx.wait(SimTime::ns(7))?;
-            ctx.notify_now(&ev);
+            ctx.notify(&ev);
             Ok(())
         });
         sim.run().expect("run");

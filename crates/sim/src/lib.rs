@@ -2,9 +2,12 @@
 //!
 //! This crate is the substrate the OSSS methodology runs on. It plays the
 //! role the OSCI SystemC kernel plays for the original OSSS library:
-//! cooperative processes, events with delta/timed notification, signals
-//! with update semantics, and blocking primitives (FIFOs, mutexes,
-//! semaphores) — all with a deterministic scheduling order.
+//! cooperative processes, blocking waits, and events with delta and
+//! timed notification — all with a deterministic scheduling order. The
+//! OSSS layers build their shared objects, software tasks and VTA
+//! channels from these alone, so SystemC's primitive channels (signals
+//! and their update phase, FIFOs, mutexes, semaphores) have no
+//! counterpart here.
 //!
 //! Processes are OS threads driven **cooperatively**: exactly one process
 //! runs at any instant, and control returns to the scheduler whenever a
@@ -48,7 +51,6 @@ mod context;
 mod error;
 mod event;
 mod kernel;
-pub mod prim;
 pub mod probe;
 mod time;
 pub mod trace;
@@ -56,8 +58,8 @@ pub mod vcd;
 
 pub use context::Context;
 pub use error::{SimError, SimResult};
-pub use event::{Event, EventId};
-pub use kernel::{ProcId, RunLimit, SimReport, Simulation};
+pub use event::Event;
+pub use kernel::{ProcId, SimReport, Simulation};
 pub use time::{Frequency, SimTime};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -66,13 +68,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 ///
 /// Poisoning only records that *some* thread panicked while holding the
 /// guard; it does not mean the data is broken. When a process thread
-/// panics, the kernel catches it and keeps locking its own state, the
-/// primitives' and the shared objects' to report the panic as a
-/// [`SimError`] and tear the run down, instead of panicking again in
-/// every other process. The decode service's queue and caches, the
-/// server's connection queue and the chaos proxy's stats leave their
-/// state consistent before anything in them can panic, so they keep
-/// serving (regressions: `lock_survives_a_panic_while_held`,
+/// panics, the kernel catches it and keeps locking its own state and the
+/// shared objects' to report the panic as a [`SimError`] and tear the run
+/// down, instead of panicking again in every other process. The decode
+/// service's queue and caches, the server's connection queue and the
+/// chaos proxy's stats leave their state consistent before anything in
+/// them can panic, so they keep serving (regressions:
+/// `lock_survives_a_panic_while_held`,
 /// `process_panic_is_reported_as_error`,
 /// `service_survives_a_poisoned_lock`).
 pub fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {

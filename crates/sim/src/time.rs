@@ -201,24 +201,9 @@ impl Frequency {
         Frequency { hz }
     }
 
-    /// Creates a frequency from kilohertz.
-    pub fn khz(khz: u64) -> Self {
-        Self::hz(khz * 1_000)
-    }
-
     /// Creates a frequency from megahertz.
     pub fn mhz(mhz: u64) -> Self {
         Self::hz(mhz * 1_000_000)
-    }
-
-    /// The frequency in hertz.
-    pub fn as_hz(self) -> u64 {
-        self.hz
-    }
-
-    /// The frequency in megahertz (fractional).
-    pub fn as_mhz_f64(self) -> f64 {
-        self.hz as f64 / 1e6
     }
 
     /// The duration of one clock cycle.
@@ -230,11 +215,6 @@ impl Frequency {
     pub fn cycles(self, n: u64) -> SimTime {
         // Multiply before dividing to keep precision for non-integral periods.
         SimTime::ps((n as u128 * 1_000_000_000_000u128 / self.hz as u128) as u64)
-    }
-
-    /// How many whole cycles fit in `t`.
-    pub fn cycles_in(self, t: SimTime) -> u64 {
-        (t.as_ps() as u128 * self.hz as u128 / 1_000_000_000_000u128) as u64
     }
 }
 
@@ -299,7 +279,6 @@ mod tests {
         assert_eq!(clk.period(), SimTime::ns(10));
         assert_eq!(clk.cycles(0), SimTime::ZERO);
         assert_eq!(clk.cycles(123), SimTime::ns(1_230));
-        assert_eq!(clk.cycles_in(SimTime::us(1)), 100);
     }
 
     #[test]

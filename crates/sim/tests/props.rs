@@ -1,9 +1,8 @@
-//! Property-based tests of kernel invariants: determinism, time
-//! monotonicity, FIFO order preservation and primitive conservation laws.
+//! Property-based tests of kernel invariants: time arithmetic,
+//! determinism and time-ordered wakeups.
 
 use proptest::prelude::*;
 
-use osss_sim::prim::{Fifo, Semaphore};
 use osss_sim::{SimTime, Simulation};
 
 proptest! {
@@ -18,41 +17,6 @@ proptest! {
         prop_assert_eq!((ta + tb) + tc, ta + (tb + tc));
         prop_assert_eq!(SimTime::us(a), SimTime::ns(a * 1_000));
         prop_assert_eq!((ta + tb).checked_sub(tb), Some(ta));
-    }
-
-    /// A FIFO delivers every item exactly once, in order, regardless of
-    /// capacity and of the relative producer/consumer pacing.
-    #[test]
-    fn fifo_preserves_order_and_items(
-        capacity in 1usize..8,
-        items in proptest::collection::vec(any::<u32>(), 1..64),
-        producer_delay in 0u64..50,
-        consumer_delay in 0u64..50,
-    ) {
-        let mut sim = Simulation::new();
-        let fifo = Fifo::new(&mut sim, "f", capacity);
-        let tx = fifo.clone();
-        let send = items.clone();
-        sim.spawn_process("producer", move |ctx| {
-            for v in send {
-                ctx.wait(SimTime::ns(producer_delay))?;
-                tx.write(ctx, v)?;
-            }
-            Ok(())
-        });
-        let rx = fifo.clone();
-        let expect = items.clone();
-        sim.spawn_process("consumer", move |ctx| {
-            for (i, want) in expect.into_iter().enumerate() {
-                ctx.wait(SimTime::ns(consumer_delay))?;
-                let got = rx.read(ctx)?;
-                assert_eq!(got, want, "item {i}");
-            }
-            Ok(())
-        });
-        let report = sim.run().unwrap();
-        report.expect_all_finished().unwrap();
-        prop_assert!(fifo.is_empty());
     }
 
     /// Identical models simulate identically (determinism): run the same
@@ -75,39 +39,6 @@ proptest! {
             (r.end_time, r.delta_cycles, r.finished)
         };
         prop_assert_eq!(run(&tasks), run(&tasks));
-    }
-
-    /// Semaphore conservation: permits out = permits in, and peak
-    /// concurrency never exceeds the permit count.
-    #[test]
-    fn semaphore_bounds_concurrency(
-        permits in 1usize..5,
-        workers in 1usize..10,
-        hold_ns in 1u64..100,
-    ) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let active = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let mut sim = Simulation::new();
-        let sem = Semaphore::new(&mut sim, "s", permits);
-        for i in 0..workers {
-            let sem = sem.clone();
-            let active = Arc::clone(&active);
-            let peak = Arc::clone(&peak);
-            sim.spawn_process(&format!("w{i}"), move |ctx| {
-                sem.acquire(ctx)?;
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                ctx.wait(SimTime::ns(hold_ns))?;
-                active.fetch_sub(1, Ordering::SeqCst);
-                sem.release(ctx);
-                Ok(())
-            });
-        }
-        sim.run().unwrap().expect_all_finished().unwrap();
-        prop_assert_eq!(sem.available(), permits);
-        prop_assert!(peak.load(std::sync::atomic::Ordering::SeqCst) <= permits);
     }
 
     /// Timed wakeups happen in global time order: a process observing the

@@ -181,7 +181,7 @@ fn exploration_axes_are_pinned_to_the_picosecond() {
         (
             Lossless,
             ArbPolicy::StaticPriority,
-            [745780405398, 1858108096, 5586739866],
+            [745621537154, 1858108096, 5202533781],
         ),
         (
             Lossy,
@@ -196,7 +196,7 @@ fn exploration_axes_are_pinned_to_the_picosecond() {
         (
             Lossy,
             ArbPolicy::StaticPriority,
-            [769565648852, 4732824416, 4950190839],
+            [769565648852, 4732824416, 4025000000],
         ),
     ];
     for (mode, policy, pinned) in POLICY {
