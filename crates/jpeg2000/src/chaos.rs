@@ -213,6 +213,20 @@ pub struct ChaosStats {
     pub drops: u64,
 }
 
+impl ChaosStats {
+    /// Adds `other`'s tallies to these.
+    fn add(&mut self, other: &ChaosStats) {
+        self.bytes_in += other.bytes_in;
+        self.bytes_out += other.bytes_out;
+        self.chunks += other.chunks;
+        self.splits += other.splits;
+        self.stalls += other.stalls;
+        self.stall_time = self.stall_time.saturating_add(other.stall_time);
+        self.corrupted_bytes += other.corrupted_bytes;
+        self.drops += other.drops;
+    }
+}
+
 /// A whole-proxy snapshot: both directions plus connection-level
 /// tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -424,25 +438,26 @@ fn pump(shared: &Shared, stream: u64, conn: u64, src: &TcpStream, dst: &TcpStrea
                 return;
             }
         };
-        {
-            let mut stats = lock_unpoisoned(stats_slot);
-            stats.bytes_in += n as u64;
-        }
+        // This read's tally, added to the direction's books once: when
+        // its bytes are forwarded, or as the relay ends.
+        let mut tally = ChaosStats {
+            bytes_in: n as u64,
+            ..ChaosStats::default()
+        };
         let mut off = 0usize;
         while off < n {
             // Chunk-level decisions at the chunk's starting byte
             // position.
             if cfg.drops_at(stream, conn, pos) {
-                lock_unpoisoned(stats_slot).drops += 1;
+                tally.drops += 1;
+                lock_unpoisoned(stats_slot).add(&tally);
                 let _ = src.shutdown(Shutdown::Both);
                 let _ = dst.shutdown(Shutdown::Both);
                 return;
             }
             if let Some(stall) = cfg.stall_at(stream, conn, pos) {
-                let mut stats = lock_unpoisoned(stats_slot);
-                stats.stalls += 1;
-                stats.stall_time = stats.stall_time.saturating_add(stall);
-                drop(stats);
+                tally.stalls += 1;
+                tally.stall_time = tally.stall_time.saturating_add(stall);
                 std::thread::sleep(stall);
             }
             let remaining = n - off;
@@ -461,21 +476,18 @@ fn pump(shared: &Shared, stream: u64, conn: u64, src: &TcpStream, dst: &TcpStrea
                 }
             }
             if (&mut (&*dst)).write_all(chunk).is_err() {
+                lock_unpoisoned(stats_slot).add(&tally);
                 let _ = src.shutdown(Shutdown::Both);
                 return;
             }
-            {
-                let mut stats = lock_unpoisoned(stats_slot);
-                stats.bytes_out += len as u64;
-                stats.chunks += 1;
-                stats.corrupted_bytes += corrupted;
-                if len < remaining {
-                    stats.splits += 1;
-                }
-            }
+            tally.bytes_out += len as u64;
+            tally.chunks += 1;
+            tally.corrupted_bytes += corrupted;
+            tally.splits += u64::from(len < remaining);
             off += len;
             pos += len as u64;
         }
+        lock_unpoisoned(stats_slot).add(&tally);
     }
 }
 

@@ -59,6 +59,7 @@ use osss_sim::checksum::crc32;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Frame magic: `"J2KD"`.
@@ -436,8 +437,9 @@ pub fn encode_request(request: &Request, stream: &[u8]) -> Vec<u8> {
 pub struct WireRequest {
     /// The service request (kind + deadline) the payload asked for.
     pub request: Request,
-    /// The codestream to decode.
-    pub stream: Vec<u8>,
+    /// The codestream to decode, copied once out of the payload into
+    /// the shared buffer the decode service takes.
+    pub stream: Arc<[u8]>,
 }
 
 /// Parses a request payload.
@@ -470,7 +472,7 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, WireError> {
             c.remaining()
         )));
     }
-    let stream = c.bytes(stream_len, "stream")?.to_vec();
+    let stream = Arc::from(c.bytes(stream_len, "stream")?);
     c.finish("request")?;
     Ok(WireRequest {
         request: Request {
@@ -1133,7 +1135,8 @@ impl Client {
     /// after the header hangs the client forever: per-read socket
     /// timeouts alone reset on every byte, so a trickling peer evades
     /// them. The deadline is absolute per operation — partial progress
-    /// shrinks the remaining window instead of resetting it.
+    /// shrinks the remaining window instead of resetting it. A deadline
+    /// past the clock's range bounds nothing.
     #[must_use]
     pub fn op_deadline(mut self, deadline: Duration) -> Self {
         self.op_deadline = Some(deadline);
@@ -1182,7 +1185,8 @@ impl Client {
     /// operation deadline when there is one. The request payload is a
     /// temporary, freed before the reply is read.
     fn exchange(&self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
-        let at = self.op_deadline.map(|limit| Instant::now() + limit);
+        // A deadline past the clock's range is no deadline.
+        let at = self.op_deadline.and_then(|t| Instant::now().checked_add(t));
         let mut io = Deadline::new(&self.stream, at);
         write_frame(&mut io, &encode_request(request, stream))?;
         let payload = read_frame(&mut io, MAX_FRAME_BYTES)?.ok_or(WireError::Truncated)?;
@@ -1354,7 +1358,7 @@ mod tests {
             let payload = encode_request(&request, &stream);
             let back = decode_request(&payload).unwrap();
             assert_eq!(back.request, request);
-            assert_eq!(back.stream, stream);
+            assert_eq!(*back.stream, stream[..]);
         }
         // Sub-millisecond deadlines round up to 1 ms, not silently to
         // "no deadline".
@@ -2017,6 +2021,27 @@ mod tests {
         );
         stop_tx.send(()).unwrap();
         stall.join().unwrap();
+    }
+
+    /// An operation deadline past the clock's range bounds nothing.
+    /// Adding it to the request's start instant used to panic.
+    #[test]
+    fn an_op_deadline_past_the_clocks_range_bounds_nothing() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let image = test_image();
+        let reply = encode_ok(&image, None, ServedFrom::Cold);
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let request = read_frame(&mut s, MAX_FRAME_BYTES).unwrap();
+            assert!(request.is_some(), "the client sent its request");
+            write_frame(&mut s, &reply).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap().op_deadline(Duration::MAX);
+        let resp = client.request(&Request::strict(), b"unused").unwrap();
+        assert_eq!(resp.image, image);
+        server.join().unwrap();
     }
 
     /// A breaker-guarded client against a blackhole: the first

@@ -86,10 +86,12 @@ pub struct ServerConfig {
     /// a slow-loris peer — one byte per read window resets them
     /// forever — so once a frame has begun, the handler bounds the
     /// *entire* frame by this budget and evicts the connection when it
-    /// elapses ([`ServerStats::frame_timeouts`]).
+    /// elapses ([`ServerStats::frame_timeouts`]). A budget past the
+    /// clock's range never elapses.
     pub frame_deadline: Duration,
     /// Closes a connection that stays idle *between* frames this long
-    /// ([`ServerStats::idle_reaped`]).
+    /// ([`ServerStats::idle_reaped`]); a timeout past the clock's range
+    /// never reaps.
     pub idle_timeout: Duration,
     /// Observability sink. The server keeps its `server.*` counters,
     /// the active-connection gauge and the request-latency histogram
@@ -239,9 +241,10 @@ struct Shared {
 
 impl Shared {
     /// I/O on `stream` that fails once `budget` from now has elapsed
-    /// or the server is shutting down.
+    /// (never, for a budget past the clock's range) or the server is
+    /// shutting down.
     fn bounded<'a>(&'a self, stream: &'a TcpStream, budget: Duration) -> Deadline<'a> {
-        Deadline::new(stream, Some(Instant::now() + budget))
+        Deadline::new(stream, Instant::now().checked_add(budget))
             .or_shutdown(&self.shutdown, POLL_INTERVAL)
     }
 }
@@ -929,6 +932,39 @@ mod tests {
             snap.counters.get("server.idle_reaped").copied(),
             Some(stats.idle_reaped)
         );
+    }
+
+    /// Budgets past the clock's range never elapse. The handler used to
+    /// panic adding the idle timeout to the start of its first frame
+    /// wait: the connection closed unanswered, and the handler's slot
+    /// was never given back, so once `handler_threads` connections had
+    /// come and gone every new one was answered busy.
+    #[test]
+    fn budgets_past_the_clocks_range_never_elapse() {
+        let config = ServerConfig {
+            handler_threads: 1,
+            idle_timeout: Duration::MAX,
+            frame_deadline: Duration::MAX,
+            ..ServerConfig::default()
+        };
+        let server = start(small_service(1, 8), config);
+        let (img, bytes) = lossless_stream(16);
+        for _ in 0..2 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let resp = client.request(&Request::strict(), &bytes).unwrap();
+            assert_eq!(resp.image, img);
+            drop(client);
+            // The handler gives its slot back once its peer is gone.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while server.active_connections() > 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(server.active_connections(), 0);
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.ok, 2);
+        assert_eq!(stats.conn_rejected, 0);
+        assert!(stats.reconciles(), "{stats:?}");
     }
 
     /// With one handler, a second connection is shed at the door with a

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use osss_core::{CallOptions, SharedObject, SoStats};
+use osss_core::{SharedObject, SoStats};
 use osss_sim::{lock_unpoisoned, Context, Event, SimError, SimResult, SimTime};
 
 use crate::channel::{ChannelStats, TransferOutcome};
@@ -144,19 +144,6 @@ impl RetryPolicy {
     /// Sets the retry budget (0 disables retries entirely).
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the backoff base and cap.
-    pub fn with_backoff(mut self, base: SimTime, cap: SimTime) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the jitter-stream seed.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
         self
     }
 
@@ -376,10 +363,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
         result_shape: &S,
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> Result<R, RmiError> {
-        let priority = self.rmi.priority();
-        self.invoke_inner(ctx, args, result_shape, |so, ctx| {
-            so.call_with(ctx, CallOptions::new().priority(priority), f)
-        })
+        self.invoke_inner(ctx, args, result_shape, |so, ctx| so.call(ctx, f))
     }
 
     /// Like [`RmiService::invoke_guarded`], but CRC-framed and retried
@@ -468,10 +452,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
         words: usize,
         is_request: bool,
     ) -> Result<Option<FrameFault>, RmiError> {
-        let outcome = self
-            .rmi
-            .channel()
-            .transfer_outcome(ctx, words, self.rmi.priority())?;
+        let outcome = self.rmi.channel().transfer_outcome(ctx, words, 0)?;
         match outcome {
             TransferOutcome::Clean => {
                 debug_assert!(check_frame(frame).is_ok());

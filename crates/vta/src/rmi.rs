@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use osss_core::{CallOptions, SharedObject, SoStats};
+use osss_core::{SharedObject, SoStats};
 use osss_sim::{Context, SimResult};
 
 use crate::channel::{Channel, ChannelStats};
@@ -53,7 +53,6 @@ pub const RMI_HEADER_WORDS: usize = 2;
 pub struct RmiService<T> {
     so: SharedObject<T>,
     channel: Arc<dyn Channel>,
-    priority: u32,
 }
 
 impl<T> Clone for RmiService<T> {
@@ -61,7 +60,6 @@ impl<T> Clone for RmiService<T> {
         RmiService {
             so: self.so.clone(),
             channel: Arc::clone(&self.channel),
-            priority: self.priority,
         }
     }
 }
@@ -78,17 +76,7 @@ impl<T> std::fmt::Debug for RmiService<T> {
 impl<T: Send + 'static> RmiService<T> {
     /// Binds `so` to `channel`.
     pub fn new(so: SharedObject<T>, channel: Arc<dyn Channel>) -> Self {
-        RmiService {
-            so,
-            channel,
-            priority: 0,
-        }
-    }
-
-    /// Sets the channel/arbitration priority used by this client handle.
-    pub fn with_priority(mut self, priority: u32) -> Self {
-        self.priority = priority;
-        self
+        RmiService { so, channel }
     }
 
     pub(crate) fn so(&self) -> &SharedObject<T> {
@@ -97,10 +85,6 @@ impl<T: Send + 'static> RmiService<T> {
 
     pub(crate) fn channel(&self) -> &Arc<dyn Channel> {
         &self.channel
-    }
-
-    pub(crate) fn priority(&self) -> u32 {
-        self.priority
     }
 
     /// The underlying shared object's statistics.
@@ -131,12 +115,10 @@ impl<T: Send + 'static> RmiService<T> {
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
         let req_words = RMI_HEADER_WORDS + args.serialised_words();
-        self.channel.transfer(ctx, req_words, self.priority)?;
-        let out = self
-            .so
-            .call_with(ctx, CallOptions::new().priority(self.priority), f)?;
+        self.channel.transfer(ctx, req_words, 0)?;
+        let out = self.so.call(ctx, f)?;
         let resp_words = RMI_HEADER_WORDS + result_shape.serialised_words();
-        self.channel.transfer(ctx, resp_words, self.priority)?;
+        self.channel.transfer(ctx, resp_words, 0)?;
         Ok(out)
     }
 
@@ -156,10 +138,10 @@ impl<T: Send + 'static> RmiService<T> {
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
         let req_words = RMI_HEADER_WORDS + args.serialised_words();
-        self.channel.transfer(ctx, req_words, self.priority)?;
+        self.channel.transfer(ctx, req_words, 0)?;
         let out = self.so.call_guarded(ctx, guard, f)?;
         let resp_words = RMI_HEADER_WORDS + result_shape.serialised_words();
-        self.channel.transfer(ctx, resp_words, self.priority)?;
+        self.channel.transfer(ctx, resp_words, 0)?;
         Ok(out)
     }
 }
