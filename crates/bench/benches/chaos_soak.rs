@@ -73,11 +73,11 @@ fn drive(addr: SocketAddr, per_client: usize) -> RunResult {
                     .op_deadline(Duration::from_secs(5));
                 for i in 0..per_client {
                     let wl = if (c + i) % 2 == 0 { lossless } else { lossy };
-                    match client.decode_retry_guarded(
+                    match client.decode_retry(
                         &Request::strict(),
                         &wl.codestream,
                         &policy,
-                        &mut breaker,
+                        Some(&mut breaker),
                     ) {
                         Ok(resp) => {
                             assert_eq!(

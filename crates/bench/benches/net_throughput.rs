@@ -200,7 +200,7 @@ fn networked_rate(
                     let si = (c + i) % streams.len();
                     let req = request_for(i);
                     let resp = client
-                        .decode_retry(&req, streams[si], &policy)
+                        .decode_retry(&req, streams[si], &policy, None)
                         .expect("networked decode");
                     if req.kind == RequestKind::Strict {
                         assert_eq!(

@@ -351,7 +351,12 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
         let client = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            Err(_) => continue,
+            // Out of descriptors (`EMFILE`) with a connection queued,
+            // accept fails at once: wait rather than spin.
+            Err(_) => {
+                std::thread::sleep(POLL_INTERVAL);
+                continue;
+            }
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;

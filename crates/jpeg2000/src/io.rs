@@ -12,7 +12,7 @@
 //! themselves construct and are intentionally left as-is.
 
 use crate::error::{CodecError, CodecResult};
-use crate::image::{Image, Plane};
+use crate::image::Image;
 use std::path::Path;
 
 /// Serialises an image as binary PGM (1 component) or PPM (3 components).
@@ -158,21 +158,6 @@ pub fn read_pnm(data: &[u8]) -> CodecResult<Image> {
     Ok(image)
 }
 
-/// Writes just one plane as PGM (debug/visualisation helper).
-///
-/// # Errors
-///
-/// Propagates [`write_pnm`] failures.
-pub fn plane_to_pgm(plane: &Plane) -> CodecResult<Vec<u8>> {
-    let image = Image {
-        width: plane.width,
-        height: plane.height,
-        depth: 8,
-        components: vec![plane.clone()],
-    };
-    write_pnm(&image)
-}
-
 /// Reads and parses a PNM file from disk.
 ///
 /// # Errors
@@ -202,6 +187,7 @@ pub fn write_pnm_file(path: impl AsRef<Path>, image: &Image) -> CodecResult<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::Plane;
 
     #[test]
     fn rgb_roundtrip() {

@@ -68,6 +68,8 @@ pub mod codestream;
 pub mod ct;
 pub mod dwt;
 pub mod error;
+#[cfg(test)]
+mod explore;
 pub mod fuzz;
 pub mod image;
 pub mod io;

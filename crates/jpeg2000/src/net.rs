@@ -42,15 +42,17 @@
 //!
 //! [`Client::request`] is the one request path: one frame out, one
 //! frame back, bounded by [`Client::op_deadline`] when set. The
-//! client's reads and writes, the server's reads and the chaos proxy's
-//! relays all wait through one crate-private deadline adapter, which
-//! races an absolute deadline and, optionally, a shutdown flag. After a
-//! transport failure the client retires its socket, so a late reply is
-//! never read as the answer to the next request, and after a busy
-//! answer, which the server's acceptor follows with a close; the next
-//! request dials a fresh socket. [`Client::decode_retry`]
-//! and [`Client::decode_retry_guarded`] share one retry loop; the second
-//! adds a [`CircuitBreaker`].
+//! client's reads and writes, the server's reads and writes and the
+//! chaos proxy's relays all wait through one crate-private deadline
+//! adapter, which races an absolute deadline and, optionally, a
+//! shutdown flag. [`Client::decode_retry`] retries busy answers, behind
+//! an optional [`CircuitBreaker`].
+//!
+//! The client's protocol rules live in one crate-private state machine
+//! apart from its socket I/O: a socket carries the next request only
+//! after an OK answer, and a busy answer is retried while the policy
+//! allows. The server's tests drive the same machine against the
+//! server's over every interleaving.
 
 use crate::codec::{DecodeReport, DecodeStage};
 use crate::image::{Image, Plane};
@@ -855,13 +857,9 @@ impl NetRetryPolicy {
             .backoff_base
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.backoff_cap);
-        let jitter_ns = base.as_nanos() as u64 / 4;
-        let jitter = if jitter_ns == 0 {
-            0
-        } else {
-            mix(self.jitter_seed, u64::from(attempt)) % jitter_ns
-        };
-        base + Duration::from_nanos(jitter)
+        let jitter =
+            mix(self.jitter_seed, u64::from(attempt)).checked_rem(base.as_nanos() as u64 / 4);
+        base + Duration::from_nanos(jitter.unwrap_or(0))
     }
 }
 
@@ -888,7 +886,7 @@ pub enum CircuitState {
 /// deadline before failing; once `threshold` consecutive *transport*
 /// failures accumulate (timeouts and wire errors — a server-answered
 /// error, even `Busy`, proves the path works and resets the count),
-/// the breaker opens and [`Client::decode_retry_guarded`] fails fast
+/// the breaker opens and [`Client::decode_retry`] fails fast
 /// with [`NetError::CircuitOpen`] without touching the network. After
 /// `cooldown`, the next caller is granted exactly one deterministic
 /// half-open probe: success closes the circuit, failure re-opens it
@@ -918,14 +916,10 @@ impl CircuitBreaker {
 
     /// The current state (evaluating the cooldown against now).
     pub fn state(&self) -> CircuitState {
-        if self.probing {
-            CircuitState::HalfOpen
-        } else {
-            match self.opened_at {
-                Some(at) if at.elapsed() < self.cooldown => CircuitState::Open,
-                Some(_) => CircuitState::HalfOpen,
-                None => CircuitState::Closed,
-            }
+        match self.opened_at {
+            None => CircuitState::Closed,
+            Some(at) if !self.probing && at.elapsed() < self.cooldown => CircuitState::Open,
+            Some(_) => CircuitState::HalfOpen,
         }
     }
 
@@ -935,15 +929,11 @@ impl CircuitBreaker {
     pub fn allow(&mut self) -> bool {
         match self.opened_at {
             None => true,
-            Some(_) if self.probing => false,
-            Some(at) => {
-                if at.elapsed() >= self.cooldown {
-                    self.probing = true;
-                    true
-                } else {
-                    false
-                }
+            Some(at) if !self.probing && at.elapsed() >= self.cooldown => {
+                self.probing = true;
+                true
             }
+            Some(_) => false,
         }
     }
 
@@ -1086,6 +1076,57 @@ impl Write for Deadline<'_> {
     }
 }
 
+/// The client's protocol rules, apart from the socket I/O that
+/// [`Client`] does: when its socket may carry the next request, and
+/// what a retry loop makes of an answer. The wire world in the
+/// server's tests drives the same transitions.
+#[derive(Debug, Default)]
+pub(crate) struct ClientRules {
+    /// The socket was retired; the next request dials a fresh one first.
+    pub(crate) retired: bool,
+    /// Busy answers the current retry loop has absorbed.
+    busy: u32,
+}
+
+impl ClientRules {
+    /// The socket-reuse rule: a socket carries the next request only
+    /// after an OK answer. Returns whether to close it now.
+    ///
+    /// After a transport failure the socket may still deliver the late
+    /// reply, which the next request would read as its own. After an
+    /// error answer the server may already have closed: its acceptor
+    /// follows a busy frame with a FIN, and a handler does the same
+    /// after a protocol error for a broken or late frame and after its
+    /// shutdown refusal, with frames byte-identical to the answers that
+    /// keep a connection open.
+    pub(crate) fn answered(&mut self, ok: bool) -> bool {
+        self.retired = !ok;
+        self.retired
+    }
+
+    /// The busy-retry rule: a busy answer is retried while the policy
+    /// has attempts left, and turns into [`NetError::RetriesExhausted`]
+    /// after; any other result ends the call. Returns the attempt
+    /// (0-based) to back off for before the retry, or `None` when
+    /// `result` ends the call.
+    pub(crate) fn retry<T>(
+        &mut self,
+        result: &mut Result<T, NetError>,
+        max_retries: u32,
+    ) -> Option<u32> {
+        if !matches!(result, Err(NetError::Busy)) {
+            self.busy = 0;
+        } else if self.busy < max_retries {
+            self.busy += 1;
+            return Some(self.busy - 1);
+        } else {
+            let attempts = std::mem::take(&mut self.busy) + 1;
+            *result = Err(NetError::RetriesExhausted { attempts });
+        }
+        None
+    }
+}
+
 /// A blocking client for a [`crate::server::DecodeServer`]: one
 /// connection, requests answered in order.
 #[derive(Debug)]
@@ -1093,9 +1134,7 @@ pub struct Client {
     stream: TcpStream,
     addr: SocketAddr,
     op_deadline: Option<Duration>,
-    /// The socket was retired (see [`Self::request`]); the next request
-    /// dials a fresh one first.
-    retired: bool,
+    rules: ClientRules,
 }
 
 impl Client {
@@ -1106,26 +1145,14 @@ impl Client {
     /// Any connect-time [`io::Error`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        Self::configure_socket(&stream)?;
+        stream.set_nodelay(true)?;
         let addr = stream.peer_addr()?;
         Ok(Client {
             stream,
             addr,
             op_deadline: None,
-            retired: false,
+            rules: ClientRules::default(),
         })
-    }
-
-    /// Per-socket configuration, shared by [`Self::connect`] and
-    /// [`Self::reconnect`] so a replacement socket can never silently
-    /// lose an option the original had. The `op_deadline` lives on the
-    /// `Client` itself and is applied per request (it installs its
-    /// remaining-budget timeouts before every syscall, see
-    /// [`Deadline`]), so it survives any number of reconnects by
-    /// construction (regression:
-    /// `reconnected_client_keeps_its_op_deadline`).
-    fn configure_socket(stream: &TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)
     }
 
     /// Bounds every [`Self::request`] (send + full reply) by one
@@ -1145,20 +1172,13 @@ impl Client {
 
     /// Sends one decode request and blocks for the response.
     ///
-    /// The client retires its socket after three outcomes, and the next
-    /// request dials a fresh one before it sends:
-    ///
-    /// * a transport failure ([`NetError::Timeout`] or
-    ///   [`NetError::Wire`]): the socket may still deliver this
-    ///   request's late reply, which the next request would read as its
-    ///   own;
-    /// * [`NetError::Busy`]: the server's acceptor closes a connection
-    ///   right after its busy frame, and that frame is byte-identical to
-    ///   a handler's busy answer, so the client cannot tell whether the
-    ///   socket still works.
-    ///
-    /// A retired client that stays idle holds no connection, so a caller
-    /// that gives up after a busy answer leaves no handler pinned.
+    /// The socket carries the next request only after an OK answer.
+    /// After any error the client retires it, and the next request
+    /// dials a fresh one before it sends: a timed-out socket may still
+    /// deliver the late reply, and after an error answer the server may
+    /// have closed the connection. A retired client that stays idle
+    /// holds no connection, so a caller that gives up after an error
+    /// leaves no handler pinned.
     ///
     /// # Errors
     ///
@@ -1167,16 +1187,12 @@ impl Client {
     /// [`Self::op_deadline`]. A failed dial is a [`NetError::Wire`]
     /// error, and the request after it dials again.
     pub fn request(&mut self, request: &Request, stream: &[u8]) -> Result<NetResponse, NetError> {
-        if self.retired {
+        if self.rules.retired {
             self.reconnect()?;
         }
         let result = self.exchange(request, stream);
-        if matches!(
-            result,
-            Err(NetError::Busy | NetError::Timeout | NetError::Wire(_))
-        ) {
+        if self.rules.answered(result.is_ok()) {
             let _ = self.stream.shutdown(Shutdown::Both);
-            self.retired = true;
         }
         result
     }
@@ -1193,29 +1209,12 @@ impl Client {
         decode_response(&payload)
     }
 
-    /// [`Self::request`], absorbing [`NetError::Busy`] responses under
-    /// `policy`'s deterministic backoff. Each retry runs on a fresh
-    /// connection, since [`Self::request`] retires its socket after a
-    /// busy answer.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::RetriesExhausted`] once the budget is spent; any
-    /// non-busy error immediately.
-    pub fn decode_retry(
-        &mut self,
-        request: &Request,
-        stream: &[u8],
-        policy: &NetRetryPolicy,
-    ) -> Result<NetResponse, NetError> {
-        self.retry(request, stream, policy, None)
-    }
-
-    /// [`Self::decode_retry`] behind a [`CircuitBreaker`]: when the
-    /// breaker is open the call fails fast with
-    /// [`NetError::CircuitOpen`] without touching the network, so a
-    /// blackholed server costs one deadline per cooldown instead of
-    /// one per request.
+    /// [`Self::request`], absorbing [`NetError::Busy`] answers under
+    /// `policy`'s deterministic backoff, each retry on a fresh
+    /// connection, and behind `breaker` when there is one: an open
+    /// breaker fails the call fast with [`NetError::CircuitOpen`]
+    /// without touching the network, so a blackholed server costs one
+    /// deadline per cooldown instead of one per request.
     ///
     /// Breaker accounting: timeouts and wire errors are failures;
     /// *any* server-answered outcome — success, `Busy`, or a
@@ -1224,21 +1223,10 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As [`Self::decode_retry`], plus [`NetError::Timeout`] and
-    /// [`NetError::CircuitOpen`].
-    pub fn decode_retry_guarded(
-        &mut self,
-        request: &Request,
-        stream: &[u8],
-        policy: &NetRetryPolicy,
-        breaker: &mut CircuitBreaker,
-    ) -> Result<NetResponse, NetError> {
-        self.retry(request, stream, policy, Some(breaker))
-    }
-
-    /// The retry loop behind both entry points, with the breaker
-    /// optional.
-    fn retry(
+    /// [`NetError::RetriesExhausted`] once the busy budget is spent,
+    /// [`NetError::CircuitOpen`] when the breaker is open, and any
+    /// other error of [`Self::request`] at once.
+    pub fn decode_retry(
         &mut self,
         request: &Request,
         stream: &[u8],
@@ -1248,35 +1236,29 @@ impl Client {
         if breaker.as_mut().is_some_and(|b| !b.allow()) {
             return Err(NetError::CircuitOpen);
         }
-        let mut attempt = 0u32;
         loop {
-            let result = self.request(request, stream);
+            let mut result = self.request(request, stream);
             if let Some(b) = breaker.as_deref_mut() {
                 match result {
                     Err(NetError::Timeout | NetError::Wire(_)) => b.on_failure(),
                     _ => b.on_success(),
                 }
             }
-            match result {
-                Err(NetError::Busy) if attempt < policy.max_retries => {
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                }
-                Err(NetError::Busy) => {
-                    return Err(NetError::RetriesExhausted {
-                        attempts: attempt + 1,
-                    })
-                }
-                other => return other,
+            match self.rules.retry(&mut result, policy.max_retries) {
+                Some(attempt) => std::thread::sleep(policy.backoff(attempt)),
+                None => return result,
             }
         }
     }
 
+    /// Dials a fresh socket through [`Self::connect`], so it can never
+    /// lose an option the first one had. The `op_deadline` lives on the
+    /// `Client` and is applied per request, so it survives any number
+    /// of reconnects (regression:
+    /// `reconnected_client_keeps_its_op_deadline`).
     fn reconnect(&mut self) -> io::Result<()> {
-        let fresh = TcpStream::connect(self.addr)?;
-        Self::configure_socket(&fresh)?;
-        self.stream = fresh;
-        self.retired = false;
+        self.stream = Self::connect(self.addr)?.stream;
+        self.rules.retired = false;
         Ok(())
     }
 }
@@ -1928,7 +1910,7 @@ mod tests {
             let policy = NetRetryPolicy::default();
             let ask = |client: &mut Client| {
                 if use_retry {
-                    client.decode_retry(&Request::strict(), b"x", &policy)
+                    client.decode_retry(&Request::strict(), b"x", &policy, None)
                 } else {
                     client.request(&Request::strict(), b"x")
                 }
@@ -1946,6 +1928,42 @@ mod tests {
             drop(client);
             server.join().unwrap();
         }
+    }
+
+    /// Regression: the client retired its socket only after `Busy`,
+    /// `Timeout` or `Wire`, but the server also closes right after the
+    /// protocol error it answers a corrupt or late frame with, so the
+    /// next request read EOF and failed `Wire(Truncated)`. The client
+    /// now dials again after any error. The listener answers as the
+    /// server does: a protocol error, a FIN and a close.
+    #[test]
+    fn a_client_dials_again_after_an_error_answer() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let image = test_image();
+        let reply = encode_ok(&image, None, ServedFrom::Cold);
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            assert!(read_frame(&mut s, MAX_FRAME_BYTES).unwrap().is_some());
+            write_frame(&mut s, &encode_protocol_error("frame crc mismatch")).unwrap();
+            s.shutdown(Shutdown::Write).unwrap();
+            drop(s);
+            let (mut s, _) = listener.accept().unwrap();
+            assert!(read_frame(&mut s, MAX_FRAME_BYTES).unwrap().is_some());
+            write_frame(&mut s, &reply).unwrap();
+        });
+        let mut client = Client::connect(addr)
+            .unwrap()
+            .op_deadline(Duration::from_secs(10));
+        let err = client.request(&Request::strict(), b"x").unwrap_err();
+        assert!(
+            matches!(&err, NetError::Protocol(d) if d.contains("crc")),
+            "{err:?}"
+        );
+        let resp = client.request(&Request::strict(), b"x").unwrap();
+        assert_eq!(resp.image, image);
+        server.join().unwrap();
     }
 
     /// The coalesced outcome is part of the wire taxonomy: it
@@ -2074,14 +2092,14 @@ mod tests {
         let policy = NetRetryPolicy::default();
         for i in 0..2 {
             let err = client
-                .decode_retry_guarded(&Request::strict(), b"x", &policy, &mut breaker)
+                .decode_retry(&Request::strict(), b"x", &policy, Some(&mut breaker))
                 .expect_err("blackhole cannot answer");
             assert!(matches!(err, NetError::Timeout), "call {i}: {err:?}");
         }
         assert_eq!(breaker.state(), CircuitState::Open);
         let started = Instant::now();
         let err = client
-            .decode_retry_guarded(&Request::strict(), b"x", &policy, &mut breaker)
+            .decode_retry(&Request::strict(), b"x", &policy, Some(&mut breaker))
             .expect_err("open breaker fails fast");
         assert!(matches!(err, NetError::CircuitOpen), "{err:?}");
         assert!(

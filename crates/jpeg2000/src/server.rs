@@ -34,10 +34,16 @@
 //! [`crate::net::Client::decode_retry`] backs off and retries.
 //!
 //! A handler waits for each frame's first byte for at most
-//! [`ServerConfig::idle_timeout`] and reads the frame itself within
-//! [`ServerConfig::frame_deadline`]. Both waits go through the deadline
-//! adapter the wire client uses, watching the shutdown flag every
-//! 20 ms; the drain of a rejected peer uses it too.
+//! [`ServerConfig::idle_timeout`], reads the frame itself within
+//! [`ServerConfig::frame_deadline`] and writes its answer within the
+//! same budget. Every wait goes through the deadline adapter the wire
+//! client uses; the reads and the drain of a rejected peer also watch
+//! the shutdown flag every 20 ms.
+//!
+//! The acceptor's admit rule and the handler's outcome rules (which
+//! counter, which answer, keep or close) live in one crate-private state
+//! machine on the server's books, apart from the socket I/O; the tests
+//! drive it against the client's over every interleaving.
 //!
 //! The server keeps its books in a [`MetricsRegistry`] under
 //! `server.*`, alongside the service's own `service.*` metrics, and
@@ -49,24 +55,24 @@
 
 use crate::net::{
     decode_request, encode_busy, encode_component_limit, encode_ok, encode_protocol_error,
-    encode_service_error, read_frame, write_frame, Deadline, WireError, WireReport,
+    encode_service_error, read_frame, write_frame, Deadline, WireError, WireReport, WireRequest,
     MAX_FRAME_BYTES, MAX_WIRE_COMPONENTS, POLL_INTERVAL,
 };
-use crate::service::{DecodeService, ServiceError, ServiceStats, Ticket};
+use crate::service::{DecodeService, ServiceError, ServiceResponse, ServiceStats, Ticket};
 use crate::sim_time;
 use osss_sim::probe::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Scope};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Transport write timeout for response frames (handlers, the
-/// acceptor's busy/refused answers).
+/// Transport write timeout for a frame followed by a close (the
+/// acceptor's busy and refused answers, a handler's last word).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long a rejected connection's bytes are drained before close
-/// (see `reject_busy`).
+/// (see `accept_loop`).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// Rejected connections drained at once; past this many, a rejected
 /// connection is answered and closed without a drain.
@@ -82,12 +88,13 @@ pub struct ServerConfig {
     /// How long a handler blocks for decode-queue space before
     /// answering a retryable-busy frame.
     pub submit_timeout: Duration,
-    /// Whole-frame read deadline. Per-read timeouts alone do not stop
-    /// a slow-loris peer — one byte per read window resets them
+    /// Whole-frame deadline, each way. Per-syscall timeouts alone do
+    /// not stop a slow-loris peer — one byte per window resets them
     /// forever — so once a frame has begun, the handler bounds the
-    /// *entire* frame by this budget and evicts the connection when it
-    /// elapses ([`ServerStats::frame_timeouts`]). A budget past the
-    /// clock's range never elapses.
+    /// *entire* frame by this budget, and its answer by the same
+    /// budget, and evicts the connection when either elapses
+    /// ([`ServerStats::frame_timeouts`]). A budget past the clock's
+    /// range never elapses.
     pub frame_deadline: Duration,
     /// Closes a connection that stays idle *between* frames this long
     /// ([`ServerStats::idle_reaped`]); a timeout past the clock's range
@@ -149,8 +156,9 @@ pub struct ServerStats {
     /// Requests that failed inside the service (caught worker panics,
     /// lost tickets).
     pub internal: u64,
-    /// Frames evicted by the whole-frame read deadline (slow-loris
-    /// peers).
+    /// Connections evicted by the whole-frame deadline, each way: a
+    /// request frame read too slowly, or an answer read too slowly
+    /// (slow-loris peers).
     pub frame_timeouts: u64,
     /// Connections closed by the idle reaper.
     pub idle_reaped: u64,
@@ -184,52 +192,40 @@ impl ServerStats {
     }
 }
 
-/// The server's books: every outcome counter, the active-connection
-/// gauge (the acceptor's connection bound reads it directly) and the
-/// latency histogram, each one registry handle read back by
-/// [`DecodeServer::stats`].
-struct Meters {
-    accepted: Counter,
-    conn_rejected: Counter,
-    frames_in: Counter,
-    frames_out: Counter,
-    crc_rejects: Counter,
-    frame_rejects: Counter,
-    protocol_errors: Counter,
-    ok: Counter,
-    busy: Counter,
-    expired: Counter,
-    failed: Counter,
-    refused: Counter,
-    internal: Counter,
-    frame_timeouts: Counter,
-    idle_reaped: Counter,
-    active: Gauge,
-    latency: Histogram,
+/// Declares the server's books, `Meters`: one `server.<name>` registry
+/// counter per [`ServerStats`] field, which `stats` reads back, plus the
+/// active-connection gauge (the admit rule reads it directly) and the
+/// latency histogram.
+macro_rules! meters {
+    ($($name:ident),*) => {
+        struct Meters {
+            $($name: Counter,)*
+            active: Gauge,
+            latency: Histogram,
+        }
+
+        impl Meters {
+            fn new(reg: &MetricsRegistry) -> Self {
+                Meters {
+                    $($name: reg.counter(concat!("server.", stringify!($name))),)*
+                    active: reg.gauge("server.active"),
+                    latency: reg.histogram("server.latency"),
+                }
+            }
+
+            fn stats(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.get(),)*
+                }
+            }
+        }
+    };
 }
 
-impl Meters {
-    fn new(reg: &MetricsRegistry) -> Self {
-        Meters {
-            accepted: reg.counter("server.accepted"),
-            conn_rejected: reg.counter("server.conn_rejected"),
-            frames_in: reg.counter("server.frames_in"),
-            frames_out: reg.counter("server.frames_out"),
-            crc_rejects: reg.counter("server.crc_rejects"),
-            frame_rejects: reg.counter("server.frame_rejects"),
-            protocol_errors: reg.counter("server.protocol_errors"),
-            ok: reg.counter("server.ok"),
-            busy: reg.counter("server.busy"),
-            expired: reg.counter("server.expired"),
-            failed: reg.counter("server.failed"),
-            refused: reg.counter("server.refused"),
-            internal: reg.counter("server.internal"),
-            frame_timeouts: reg.counter("server.frame_timeouts"),
-            idle_reaped: reg.counter("server.idle_reaped"),
-            active: reg.gauge("server.active"),
-            latency: reg.histogram("server.latency"),
-        }
-    }
+meters! {
+    accepted, conn_rejected, frames_in, frames_out, crc_rejects, frame_rejects,
+    protocol_errors, ok, busy, expired, failed, refused, internal, frame_timeouts,
+    idle_reaped
 }
 
 struct Shared {
@@ -299,24 +295,7 @@ impl DecodeServer {
 
     /// A snapshot of the outcome tallies.
     pub fn stats(&self) -> ServerStats {
-        let m = &self.shared.meters;
-        ServerStats {
-            accepted: m.accepted.get(),
-            conn_rejected: m.conn_rejected.get(),
-            frames_in: m.frames_in.get(),
-            frames_out: m.frames_out.get(),
-            crc_rejects: m.crc_rejects.get(),
-            frame_rejects: m.frame_rejects.get(),
-            protocol_errors: m.protocol_errors.get(),
-            ok: m.ok.get(),
-            busy: m.busy.get(),
-            expired: m.expired.get(),
-            failed: m.failed.get(),
-            refused: m.refused.get(),
-            internal: m.internal.get(),
-            frame_timeouts: m.frame_timeouts.get(),
-            idle_reaped: m.idle_reaped.get(),
-        }
+        self.shared.meters.stats()
     }
 
     /// Connections currently inside a handler.
@@ -352,50 +331,245 @@ impl Drop for DecodeServer {
     }
 }
 
-/// Accepts connections until shutdown, starting a handler thread for
-/// each while fewer than `handler_threads` are open and answering the
-/// rest busy. The scope joins every handler and every drain before
-/// this returns.
+// ---------------------------------------------------------------------------
+// The server's protocol rules
+// ---------------------------------------------------------------------------
+
+/// What the acceptor does with a connection it took.
+enum Admit {
+    /// Shutting down: answer refused, close, and stop accepting.
+    Refuse,
+    /// Start a handler, which holds this slot until it ends.
+    Serve(Slot),
+    /// Answer busy and close, after a drain of the client's bytes that
+    /// holds this slot when there is one.
+    Busy(Option<Slot>),
+}
+
+/// One place under a bound: a handler's under
+/// [`ServerConfig::handler_threads`], a drain's under [`MAX_DRAINS`].
+struct Slot(Gauge);
+
+impl Slot {
+    /// Raises `count` until the slot drops.
+    fn take(count: &Gauge) -> Self {
+        count.add(1);
+        Slot(count.clone())
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.add(-1);
+    }
+}
+
+/// Where a handler is on its connection. The shell does each phase's
+/// socket I/O and hands what it returned to the phase's transition on
+/// [`Meters`], which tallies it and names the next phase.
+enum Phase {
+    /// Waiting for a frame's first byte.
+    Wait,
+    /// A frame has begun.
+    Read,
+    /// A CRC-valid frame's payload, for the service.
+    Serve(Vec<u8>),
+    /// The answer to a request; the connection stays open after it.
+    Answer(Vec<u8>),
+    /// Close the connection, after this frame and a FIN when there is
+    /// one.
+    Close(Option<Vec<u8>>),
+}
+
+impl Meters {
+    /// The admit rule: while the server runs, a connection gets a
+    /// handler while fewer than `cap` are open, and is answered busy
+    /// otherwise, so a flood degrades into explicit retry traffic
+    /// instead of hung connections. A busy connection is drained while
+    /// fewer than [`MAX_DRAINS`] drain: closing it with a request
+    /// unread provokes a TCP reset that can discard the busy frame.
+    /// Only the acceptor takes slots, so both bounds are exact.
+    fn admit(&self, shutting_down: bool, cap: usize, draining: &Gauge) -> Admit {
+        if shutting_down {
+            return Admit::Refuse;
+        }
+        if self.active.get() < cap.max(1) as i64 {
+            return Admit::Serve(Slot::take(&self.active));
+        }
+        self.conn_rejected.inc();
+        Admit::Busy((draining.get() < MAX_DRAINS as i64).then(|| Slot::take(draining)))
+    }
+
+    /// The wait for a frame's first byte returned `peeked`.
+    fn waited(&self, peeked: io::Result<usize>, shutting_down: bool) -> Phase {
+        match peeked {
+            Ok(0) => Phase::Close(None), // clean EOF between frames
+            Ok(_) => Phase::Read,
+            Err(e) if e.kind() == ErrorKind::TimedOut => {
+                // Reap: free the handler for live traffic. The peer sees
+                // clean EOF between frames.
+                self.idle_reaped.inc();
+                Phase::Close(None)
+            }
+            // Tell a quiet peer why it is being closed.
+            Err(_) => Phase::Close(shutting_down.then(refused)),
+        }
+    }
+
+    /// The read of a begun frame returned `frame`.
+    fn read(&self, frame: Result<Option<Vec<u8>>, WireError>) -> Phase {
+        let (counter, detail) = match frame {
+            Ok(None) => return Phase::Close(None),
+            Ok(Some(payload)) => {
+                self.frames_in.inc();
+                return Phase::Serve(payload);
+            }
+            // The whole-frame deadline elapsed: evict the peer. Framing
+            // is lost mid-frame, so the error frame is best-effort.
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::TimedOut => (
+                &self.frame_timeouts,
+                Some("whole-frame read deadline exceeded".to_owned()),
+            ),
+            // Fully read, so the stream is still in sync, but its
+            // content is untrustworthy.
+            Err(WireError::Crc { .. }) => {
+                (&self.crc_rejects, Some("frame crc mismatch".to_owned()))
+            }
+            // Framing is lost; no way to find the next frame boundary.
+            Err(e @ (WireError::BadMagic(_) | WireError::Oversized { .. })) => {
+                (&self.frame_rejects, Some(e.to_string()))
+            }
+            // Truncated mid-frame or transport failure: the peer is gone
+            // or stalled; nothing to answer.
+            Err(_) => (&self.frame_rejects, None),
+        };
+        counter.inc();
+        Phase::Close(detail.map(|d| encode_protocol_error(&d)))
+    }
+
+    /// Answers a CRC-valid frame's `payload`, handing a well-formed
+    /// request to `serve`, and records how long that took. A payload
+    /// that fails the grammar came in an intact frame, so the
+    /// connection stays usable.
+    fn served(
+        &self,
+        payload: &[u8],
+        serve: impl FnOnce(WireRequest) -> Result<ServiceResponse, ServiceError>,
+    ) -> Phase {
+        let started = Instant::now();
+        let answer = match decode_request(payload).map(serve) {
+            Err(e) => {
+                self.protocol_errors.inc();
+                encode_protocol_error(&e.to_string())
+            }
+            Ok(Ok(resp)) if resp.image.num_components() > MAX_WIRE_COMPONENTS => {
+                // SIZ admits up to 65 535 components; the OK response
+                // counts them in one byte. Answer a decode failure the
+                // client can read, not a frame it would misparse.
+                self.failed.inc();
+                encode_component_limit(resp.image.num_components())
+            }
+            Ok(Ok(resp)) => {
+                self.ok.inc();
+                let report = resp.report.as_ref().map(WireReport::summarise);
+                encode_ok(&resp.image, report.as_ref(), resp.served_from)
+            }
+            Ok(Err(err)) => {
+                match &err {
+                    ServiceError::QueueFull => &self.busy,
+                    ServiceError::DeadlineExceeded => &self.expired,
+                    ServiceError::Decode(_) => &self.failed,
+                    ServiceError::ShuttingDown => &self.refused,
+                    _ => &self.internal,
+                }
+                .inc();
+                encode_service_error(&err)
+            }
+        };
+        self.latency.observe(sim_time(started.elapsed()));
+        Phase::Answer(answer)
+    }
+
+    /// The answer's write returned `written`. A peer that reads it too
+    /// slowly for the frame deadline is evicted like one that writes
+    /// its request too slowly.
+    fn wrote(&self, written: io::Result<()>) -> Phase {
+        match written {
+            Ok(()) => {
+                self.frames_out.inc();
+                Phase::Wait
+            }
+            Err(e) => {
+                if e.kind() == ErrorKind::TimedOut {
+                    self.frame_timeouts.inc();
+                }
+                Phase::Close(None)
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The threaded shell
+// ---------------------------------------------------------------------------
+
+/// The refusal a shutting-down server answers with.
+fn refused() -> Vec<u8> {
+    encode_service_error(&ServiceError::ShuttingDown)
+}
+
+/// Accepts connections until shutdown and admits each; the scope joins
+/// every handler and every drain before this returns.
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
     let m = &shared.meters;
-    let cap = shared.config.handler_threads.max(1) as i64;
-    let draining = AtomicUsize::new(0);
+    let draining = Gauge::default();
     std::thread::scope(|scope| loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The shutdown wake-up connection (or a late client):
-            // refuse and stop.
-            let _ = respond_and_close(&stream, &encode_service_error(&ServiceError::ShuttingDown));
-            return;
-        }
-        // Only this thread raises the count, so the cap is exact; it
-        // is raised before the handler starts and lowered by the
-        // handler as it ends.
-        if m.active.get() >= cap {
-            // Answer busy and close so the client retries with backoff
-            // instead of waiting unseen for a handler.
-            m.conn_rejected.inc();
-            reject_busy(scope, shared, &draining, stream);
-            continue;
-        }
-        m.active.add(1);
-        let handler = std::thread::Builder::new()
-            .name("decode-net-conn".into())
-            .spawn_scoped(scope, move || {
-                serve_connection(shared, stream);
-                m.active.add(-1);
-            });
-        match handler {
-            Ok(_) => m.accepted.inc(),
-            // The connection went down with the closure; the client
-            // sees it closed.
+            // Out of descriptors (`EMFILE`) with a connection queued,
+            // accept fails at once: wait rather than spin.
             Err(_) => {
-                m.active.add(-1);
-                m.conn_rejected.inc();
+                std::thread::sleep(POLL_INTERVAL);
+                continue;
+            }
+        };
+        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
+        match m.admit(shutting_down, shared.config.handler_threads, &draining) {
+            // The shutdown wake-up connection (or a late client).
+            Admit::Refuse => {
+                let _ = respond_and_close(&stream, &refused());
+                return;
+            }
+            Admit::Serve(slot) => {
+                let handler = std::thread::Builder::new()
+                    .name("decode-net-conn".into())
+                    .spawn_scoped(scope, move || {
+                        serve_connection(shared, stream);
+                        drop(slot);
+                    });
+                // A handler that cannot start drops the connection and
+                // its slot with its closure; the client sees it closed.
+                match handler {
+                    Ok(_) => m.accepted.inc(),
+                    Err(_) => m.conn_rejected.inc(),
+                }
+            }
+            // The busy frame goes out (a few bytes into the empty send
+            // buffer of a fresh socket, which does not block the
+            // acceptor) and the write side closes (FIN); a drain then
+            // reads the client's bytes until it hangs up,
+            // `DRAIN_DEADLINE` passes or the server shuts down.
+            Admit::Busy(drain) => {
+                if let (Ok(()), Some(slot)) = (respond_and_close(&stream, &encode_busy()), drain) {
+                    let _ = std::thread::Builder::new()
+                        .name("decode-net-reject".into())
+                        .spawn_scoped(scope, move || {
+                            let mut rest = shared.bounded(&stream, DRAIN_DEADLINE);
+                            let _ = io::copy(&mut rest, &mut io::sink());
+                            drop(slot);
+                        });
+                }
             }
         }
     });
@@ -409,174 +583,53 @@ fn respond_and_close(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
     stream.shutdown(Shutdown::Write)
 }
 
-/// Rejects a connection with a busy frame, *gracefully* while fewer
-/// than [`MAX_DRAINS`] rejected connections are draining: the client
-/// may already have a request in flight, and closing with unread data
-/// queued provokes a TCP reset that can discard the busy frame on the
-/// client side. So the frame goes out (a few bytes into the empty send
-/// buffer of a fresh socket, which does not block the acceptor), the
-/// write side closes (FIN), and a thread in the acceptor's scope drains
-/// the client's bytes until it hangs up, [`DRAIN_DEADLINE`] passes or
-/// the server shuts down. Past the bound the connection closes at once,
-/// so a flood costs at most [`MAX_DRAINS`] threads, each joined at
-/// shutdown.
-fn reject_busy<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    shared: &'scope Shared,
-    draining: &'scope AtomicUsize,
-    stream: TcpStream,
-) {
-    // Only the acceptor raises the count, so the bound is exact.
-    if respond_and_close(&stream, &encode_busy()).is_err()
-        || draining.load(Ordering::SeqCst) >= MAX_DRAINS
-    {
-        return;
-    }
-    draining.fetch_add(1, Ordering::SeqCst);
-    let drain = std::thread::Builder::new()
-        .name("decode-net-reject".into())
-        .spawn_scoped(scope, move || {
-            let _ = io::copy(
-                &mut shared.bounded(&stream, DRAIN_DEADLINE),
-                &mut io::sink(),
-            );
-            draining.fetch_sub(1, Ordering::SeqCst);
-        });
-    if drain.is_err() {
-        draining.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Serves one connection until EOF, an unrecoverable frame error,
-/// idle expiry, or shutdown.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let config = &shared.config;
-    let m = &shared.meters;
+/// Serves one connection: runs the handler's phases until one closes
+/// it.
+fn serve_connection(shared: &Shared, stream: TcpStream) {
+    let (config, m) = (&shared.config, &shared.meters);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let mut phase = Phase::Wait;
     loop {
-        // Wait for the first byte of a frame; peek() leaves it for
-        // read_frame.
-        match shared
-            .bounded(&stream, config.idle_timeout)
-            .peek(&mut [0u8; 1])
-        {
-            Ok(0) => return, // clean EOF between frames
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::TimedOut => {
-                // Reap: free the handler for live traffic. The peer
-                // sees clean EOF between frames.
-                m.idle_reaped.inc();
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
+        phase = match phase {
+            // peek() leaves the first byte for read_frame.
+            Phase::Wait => m.waited(
+                shared
+                    .bounded(&stream, config.idle_timeout)
+                    .peek(&mut [0u8; 1]),
+                shared.shutdown.load(Ordering::SeqCst),
+            ),
+            // The whole frame races one budget, so a peer trickling a
+            // byte per poll window is evicted instead of pinning the
+            // handler (slow-loris).
+            Phase::Read => {
+                let mut frame = shared.bounded(&stream, config.frame_deadline);
+                m.read(read_frame(&mut frame, MAX_FRAME_BYTES))
             }
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => {
-                // Tell a quiet peer why it is being closed.
-                let _ =
-                    respond_and_close(&stream, &encode_service_error(&ServiceError::ShuttingDown));
-                return;
+            Phase::Serve(payload) => m.served(&payload, |wire| {
+                shared
+                    .service
+                    .submit_wait(wire.stream, wire.request, config.submit_timeout)
+                    .and_then(Ticket::wait)
+            }),
+            // So does the answer, against a peer reading a byte per
+            // window. It does not watch the shutdown flag: in-flight
+            // requests finish.
+            Phase::Answer(answer) => {
+                let at = Instant::now().checked_add(config.frame_deadline);
+                m.wrote(write_frame(&mut Deadline::new(&stream, at), &answer))
             }
-            Err(_) => return,
-        }
-        // A frame has begun: the whole frame races one budget, so a
-        // peer trickling a byte per poll window is evicted instead of
-        // pinning the handler (slow-loris).
-        let mut frame = shared.bounded(&stream, config.frame_deadline);
-        match read_frame(&mut frame, MAX_FRAME_BYTES) {
-            Ok(None) => return,
-            Ok(Some(payload)) => {
-                m.frames_in.inc();
-                if !handle_frame(shared, &mut stream, &payload) {
-                    return;
+            Phase::Close(last) => {
+                if let Some(last) = last {
+                    let _ = respond_and_close(&stream, &last);
                 }
-            }
-            Err(WireError::Io(e)) if e.kind() == ErrorKind::TimedOut => {
-                // The whole-frame deadline elapsed: evict the peer.
-                // (Framing is lost mid-frame, so the connection closes;
-                // the error frame is best-effort.)
-                m.frame_timeouts.inc();
-                let _ = respond_and_close(
-                    &stream,
-                    &encode_protocol_error("whole-frame read deadline exceeded"),
-                );
                 return;
             }
-            Err(WireError::Crc { .. }) => {
-                // The frame was fully read, so the stream is still in
-                // sync — but its content is untrustworthy. Report and
-                // close.
-                m.crc_rejects.inc();
-                let _ = respond_and_close(&stream, &encode_protocol_error("frame crc mismatch"));
-                return;
-            }
-            Err(e @ (WireError::BadMagic(_) | WireError::Oversized { .. })) => {
-                // Framing is lost; no way to find the next frame
-                // boundary. Report and close.
-                m.frame_rejects.inc();
-                let _ = respond_and_close(&stream, &encode_protocol_error(&e.to_string()));
-                return;
-            }
-            Err(_) => {
-                // Truncated mid-frame or transport failure: the peer
-                // is gone or stalled; nothing to answer.
-                m.frame_rejects.inc();
-                return;
-            }
-        }
+        };
     }
 }
 
-/// Handles one CRC-valid frame; returns `false` when the connection
-/// should close.
-fn handle_frame(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> bool {
-    let m = &shared.meters;
-    let started = Instant::now();
-    let response = match decode_request(payload) {
-        Err(e) => {
-            // The payload failed the grammar but the *frame* was
-            // intact, so the connection stays usable.
-            m.protocol_errors.inc();
-            encode_protocol_error(&e.to_string())
-        }
-        Ok(wire) => match shared
-            .service
-            .submit_wait(wire.stream, wire.request, shared.config.submit_timeout)
-            .and_then(Ticket::wait)
-        {
-            Ok(resp) if resp.image.num_components() > MAX_WIRE_COMPONENTS => {
-                // SIZ admits up to 65 535 components; the OK response
-                // counts them in one byte. Answer a decode failure the
-                // client can read, not a frame it would misparse.
-                m.failed.inc();
-                encode_component_limit(resp.image.num_components())
-            }
-            Ok(resp) => {
-                m.ok.inc();
-                let report = resp.report.as_ref().map(WireReport::summarise);
-                encode_ok(&resp.image, report.as_ref(), resp.served_from)
-            }
-            Err(err) => {
-                match &err {
-                    ServiceError::QueueFull => &m.busy,
-                    ServiceError::DeadlineExceeded => &m.expired,
-                    ServiceError::Decode(_) => &m.failed,
-                    ServiceError::ShuttingDown => &m.refused,
-                    _ => &m.internal,
-                }
-                .inc();
-                encode_service_error(&err)
-            }
-        },
-    };
-    m.latency.observe(sim_time(started.elapsed()));
-    match write_frame(stream, &response) {
-        Ok(()) => {
-            m.frames_out.inc();
-            true
-        }
-        Err(_) => false,
-    }
-}
+#[cfg(test)]
+mod wire_world;
 
 #[cfg(test)]
 mod tests {
@@ -894,6 +947,61 @@ mod tests {
         assert!(stats.reconciles(), "{stats:?}");
     }
 
+    /// Regression: a handler wrote its answer on the raw socket, bounded
+    /// only by a 1-s write timeout that any progress resets, so a client
+    /// reading 64 KB every 400 ms held the only handler for as long as
+    /// it kept reading, and every other client was answered busy. The
+    /// answer now races the frame deadline too.
+    #[test]
+    fn a_slow_reader_is_evicted_by_the_frame_deadline() {
+        let server = start(
+            small_service(1, 4),
+            ServerConfig {
+                handler_threads: 1,
+                frame_deadline: Duration::from_millis(300),
+                ..ServerConfig::default()
+            },
+        );
+        // One 2048×1024 plane of 4-byte samples: an 8 MB answer, more
+        // than the socket buffers hold.
+        let request = encode_request(&Request::strict(), &blank_stream(2048, 1024, 1));
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        crate::net::write_frame(&mut raw, &request).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut buf = vec![0u8; 64 << 10];
+                while !stop.load(Ordering::SeqCst) && raw.read(&mut buf).is_ok_and(|n| n > 0) {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().ok == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.stats().ok, 1, "the service answered");
+        let answered = Instant::now();
+        while server.active_connections() > 0 && answered.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let freed = answered.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        assert!(
+            freed < Duration::from_millis(1500),
+            "the slow reader held the handler for {freed:?}"
+        );
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.frame_timeouts, stats.frames_out),
+            (1, 0),
+            "{stats:?}"
+        );
+        assert!(stats.reconciles(), "{stats:?}");
+    }
+
     #[test]
     fn idle_connections_are_reaped_but_active_ones_are_not() {
         let registry = MetricsRegistry::new();
@@ -1001,6 +1109,7 @@ mod tests {
                     backoff_base: Duration::from_millis(1),
                     ..NetRetryPolicy::default()
                 },
+                None,
             )
             .unwrap_err();
         assert!(
@@ -1050,7 +1159,7 @@ mod tests {
         drop(held.pop());
         let mut fifth = Client::connect(addr).unwrap();
         let resp = fifth
-            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default())
+            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default(), None)
             .unwrap();
         assert_eq!(resp.image, img);
         drop((held, fifth));
@@ -1083,7 +1192,7 @@ mod tests {
         assert!(matches!(err, NetError::Busy), "{err:?}");
         drop(pin);
         let resp = client
-            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default())
+            .decode_retry(&Request::strict(), &bytes, &NetRetryPolicy::default(), None)
             .unwrap();
         assert_eq!(resp.image, img);
         drop(client);
@@ -1093,16 +1202,16 @@ mod tests {
         assert!(stats.reconciles(), "{stats:?}");
     }
 
-    /// An 8×8 8-bit stream with `n` components, no DWT levels and one
-    /// layer: one tile of `n` zero bytes, so every component is one
-    /// empty packet.
-    fn many_component_stream(n: u16) -> Vec<u8> {
+    /// A `width`×`height` 8-bit stream with `n` components, no DWT
+    /// levels and one layer: one tile of `n` zero bytes, so every
+    /// component is one empty packet and decodes to a flat plane.
+    fn blank_stream(width: u32, height: u32, n: u16) -> Vec<u8> {
         use crate::codestream::{write_codestream, MainHeader, QuantSpec, TileSegment, Wavelet};
         let header = MainHeader {
-            width: 8,
-            height: 8,
-            tile_w: 8,
-            tile_h: 8,
+            width,
+            height,
+            tile_w: width,
+            tile_h: height,
             num_components: n,
             depth: 8,
             levels: 0,
@@ -1140,7 +1249,7 @@ mod tests {
             },
         );
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let wide = many_component_stream(256);
+        let wide = blank_stream(8, 8, 256);
         assert_eq!(decode(&wide).unwrap().image.num_components(), 256);
         for request in [Request::strict(), Request::tolerant()] {
             let err = client.request(&request, &wide).unwrap_err();
@@ -1149,7 +1258,7 @@ mod tests {
                 "{request:?}: {err:?}"
             );
         }
-        let widest = many_component_stream(255);
+        let widest = blank_stream(8, 8, 255);
         let resp = client.request(&Request::strict(), &widest).unwrap();
         assert_eq!(resp.image, decode(&widest).unwrap().image);
         assert_eq!(resp.image.num_components(), 255);

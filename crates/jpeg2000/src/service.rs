@@ -2375,13 +2375,10 @@ mod tests {
     // Exhaustive interleaving explorer over `ServiceCore`
     // -----------------------------------------------------------------------
     //
-    // The explorer drives the core's transitions directly, with no
-    // threads: every client, the worker, the clock and the shutdown are
-    // actors, each step is one transition (one critical section of the
-    // threaded shell), and a depth-first search replays every ordering
-    // of the first `depth` steps from a fresh core, in the manner of
-    // loom and of stateless model checking. Past the bound a schedule
-    // runs its first enabled actor until nothing is enabled: the drain.
+    // The explorer (`crate::explore`) drives the core's transitions
+    // directly, with no threads: every client, the worker, the clock
+    // and the shutdown are actors, and each step is one transition (one
+    // critical section of the threaded shell).
 
     /// One virtual clock tick.
     const TICK: Duration = Duration::from_millis(1);
@@ -2570,22 +2567,6 @@ mod tests {
             }
         }
 
-        /// The set of ready actors, one bit per id: the clients, then
-        /// the worker, the clock and the shutdown.
-        fn enabled(&self) -> u32 {
-            let n = self.clients.len();
-            let worker = match self.worker {
-                Phase::Idle => !self.core.queue.is_empty() || self.core.shutting_down,
-                Phase::Exited => false,
-                _ => true,
-            };
-            let ready = (0..n).map(|i| self.client_ready(i));
-            let ready = ready.chain([worker, self.ticks_left > 0, !self.shut]);
-            ready
-                .enumerate()
-                .fold(0, |set, (id, r)| set | (u32::from(r) << id))
-        }
-
         fn client_ready(&self, i: usize) -> bool {
             let c = &self.clients[i];
             match (&c.parked, c.ops.get(c.next)) {
@@ -2594,37 +2575,6 @@ mod tests {
                 // A cancel only matters while the ticket is pending.
                 (None, Some(Op::Cancel)) => c.ticket.is_some_and(|t| self.tickets[t].replies == 0),
                 (None, None) => false,
-            }
-        }
-
-        fn step(&mut self, actor: usize) {
-            let n = self.clients.len();
-            match actor {
-                i if i < n => self.client_step(i),
-                i if i == n => self.worker_step(),
-                i if i == n + 1 => {
-                    self.now += TICK;
-                    self.ticks_left -= 1;
-                }
-                _ => {
-                    self.core.shut_down();
-                    self.shut = true;
-                    wake(&mut self.clients);
-                }
-            }
-            for (reply, outcome) in std::mem::take(&mut self.core.outbox) {
-                let _ = reply.send(outcome);
-            }
-            // A client whose last move was a cancel of a resolved ticket
-            // has nothing left to do.
-            for i in 0..n {
-                let c = &self.clients[i];
-                if c.parked.is_none()
-                    && matches!(c.ops.get(c.next), Some(Op::Cancel))
-                    && !self.client_ready(i)
-                {
-                    self.clients[i].next += 1;
-                }
             }
         }
 
@@ -2763,6 +2713,72 @@ mod tests {
             };
         }
 
+        /// The flight whose job the worker holds, unless it abandoned it.
+        fn held(&self) -> Option<FlightKey> {
+            match &self.worker {
+                Phase::Claimed(job)
+                | Phase::Lookup(job)
+                | Phase::Header(job, ..)
+                | Phase::Tile(job, ..)
+                | Phase::Insert(job, ..) => Some(job.flight_key()),
+                Phase::Retire(job, outcome) if !matches!(outcome, Err(Abort::Abandoned)) => {
+                    Some(job.flight_key())
+                }
+                _ => None,
+            }
+        }
+    }
+
+    impl crate::explore::World for World<'_> {
+        type Seen = Explored;
+
+        /// The set of ready actors, one bit per id: the clients, then
+        /// the worker, the clock and the shutdown.
+        fn enabled(&self) -> u32 {
+            let n = self.clients.len();
+            let worker = match self.worker {
+                Phase::Idle => !self.core.queue.is_empty() || self.core.shutting_down,
+                Phase::Exited => false,
+                _ => true,
+            };
+            let ready = (0..n).map(|i| self.client_ready(i));
+            let ready = ready.chain([worker, self.ticks_left > 0, !self.shut]);
+            ready
+                .enumerate()
+                .fold(0, |set, (id, r)| set | (u32::from(r) << id))
+        }
+
+        fn step(&mut self, actor: usize) {
+            let n = self.clients.len();
+            match actor {
+                i if i < n => self.client_step(i),
+                i if i == n => self.worker_step(),
+                i if i == n + 1 => {
+                    self.now += TICK;
+                    self.ticks_left -= 1;
+                }
+                _ => {
+                    self.core.shut_down();
+                    self.shut = true;
+                    wake(&mut self.clients);
+                }
+            }
+            for (reply, outcome) in std::mem::take(&mut self.core.outbox) {
+                let _ = reply.send(outcome);
+            }
+            // A client whose last move was a cancel of a resolved ticket
+            // has nothing left to do.
+            for i in 0..n {
+                let c = &self.clients[i];
+                if c.parked.is_none()
+                    && matches!(c.ops.get(c.next), Some(Op::Cancel))
+                    && !self.client_ready(i)
+                {
+                    self.clients[i].next += 1;
+                }
+            }
+        }
+
         /// What an actor's next step touches, as bits: two steps that
         /// share none commute, and neither enables nor disables the
         /// other. Meter tallies and timing samples commute and are left
@@ -2821,21 +2837,6 @@ mod tests {
                 Phase::Retire(_, Err(Abort::Abandoned)) if !self.bound.retire_abandoned => 0,
                 Phase::Retire(job, _) => FLIGHTS | flight(&job.flight_key()),
                 Phase::Exited => 0,
-            }
-        }
-
-        /// The flight whose job the worker holds, unless it abandoned it.
-        fn held(&self) -> Option<FlightKey> {
-            match &self.worker {
-                Phase::Claimed(job)
-                | Phase::Lookup(job)
-                | Phase::Header(job, ..)
-                | Phase::Tile(job, ..)
-                | Phase::Insert(job, ..) => Some(job.flight_key()),
-                Phase::Retire(job, outcome) if !matches!(outcome, Err(Abort::Abandoned)) => {
-                    Some(job.flight_key())
-                }
-                _ => None,
             }
         }
 
@@ -2920,106 +2921,23 @@ mod tests {
             }
             Ok(())
         }
-    }
 
-    /// Replays one schedule: the choices in `path` for its first steps,
-    /// new first choices past them up to the bound, the first enabled
-    /// actor after it. Within the bound it skips the orderings that
-    /// only swap two independent steps of one already run (sleep sets,
-    /// Godefroid 1996: every reachable state is still visited);
-    /// a schedule cut short for that reason is not counted.
-    fn run(
-        bound: &Bound,
-        fixture: &Fixture,
-        path: &mut Vec<(usize, usize)>,
-        seen: &mut Explored,
-    ) -> Result<(), String> {
-        let mut world = World::new(bound, fixture);
-        let mut trace = Vec::new();
-        let name = |trace: &[usize]| {
-            let n = bound.clients.len();
-            let names: Vec<String> = trace
-                .iter()
-                .map(|&a| match a {
-                    a if a < n => format!("c{a}"),
-                    a if a == n => "w".into(),
-                    a if a == n + 1 => "tick".into(),
-                    _ => "stop".into(),
-                })
-                .collect();
-            names.join(" ")
-        };
-        // Actors whose next step a sibling schedule already took, and
-        // which only independent steps have followed since.
-        let mut asleep = 0u32;
-        loop {
-            let enabled = world.enabled();
-            if enabled == 0 {
-                return world
-                    .drained(seen)
-                    .map_err(|e| format!("{e}; schedule: {}", name(&trace)));
+        fn name(&self, actor: usize) -> String {
+            let n = self.clients.len();
+            match actor {
+                a if a < n => format!("c{a}"),
+                a if a == n => "w".into(),
+                a if a == n + 1 => "tick".into(),
+                _ => "stop".into(),
             }
-            let step = trace.len();
-            assert!(step < 1000, "no drain after {step} steps: {}", name(&trace));
-            let actor = if step < bound.depth {
-                let awake: Vec<usize> = (0..32)
-                    .filter(|a| (enabled & !asleep) >> a & 1 == 1)
-                    .collect();
-                if awake.is_empty() {
-                    // Every ordering from here reorders one explored.
-                    return Ok(());
-                }
-                let pick = match path.get(step) {
-                    Some(&(taken, of)) => {
-                        assert_eq!(of, awake.len(), "a replay diverged");
-                        taken
-                    }
-                    None => {
-                        path.push((0, awake.len()));
-                        0
-                    }
-                };
-                let touched = world.footprint(awake[pick]);
-                for &a in &awake[..pick] {
-                    asleep |= 1 << a;
-                }
-                for a in 0..32 {
-                    if asleep >> a & 1 == 1 && world.footprint(a) & touched != 0 {
-                        asleep &= !(1 << a);
-                    }
-                }
-                awake[pick]
-            } else {
-                enabled.trailing_zeros() as usize
-            };
-            trace.push(actor);
-            world.step(actor);
-            world
-                .check()
-                .map_err(|e| format!("{e}; schedule: {}", name(&trace)))?;
         }
     }
 
-    /// Runs every schedule within `bound`, depth first; returns the
-    /// paths they took, or the first violation and its schedule.
+    /// Runs every schedule within `bound`; returns the paths they took,
+    /// or the first violation and its schedule.
     fn explore(bound: &Bound) -> Result<Explored, String> {
         let fixture = Fixture::new();
-        let mut path = Vec::new();
-        let mut seen = Explored::default();
-        loop {
-            run(bound, &fixture, &mut path, &mut seen)?;
-            // The next sibling of the deepest choice that has one.
-            loop {
-                match path.pop() {
-                    None => return Ok(seen),
-                    Some((taken, of)) if taken + 1 < of => {
-                        path.push((taken + 1, of));
-                        break;
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
+        crate::explore::explore(bound.depth, || World::new(bound, &fixture))
     }
 
     /// Every path the bound promises is taken in some schedule.

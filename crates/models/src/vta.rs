@@ -159,11 +159,6 @@ impl FaultRunResult {
             useful / total
         }
     }
-
-    /// Mean simulated latency of one reliable invocation.
-    pub fn avg_invoke_latency(&self) -> SimTime {
-        self.rmi_stats.invoke_time / self.rmi_stats.invokes.max(1)
-    }
 }
 
 /// PR 3's tolerant-decode convention for a tile the transport lost: all

@@ -74,7 +74,12 @@ fn main() {
         let mut c = Client::connect(proxy.local_addr())
             .expect("connect via proxy")
             .op_deadline(Duration::from_millis(750));
-        match c.decode_retry_guarded(&Request::strict(), &wl.codestream, &policy, &mut breaker) {
+        match c.decode_retry(
+            &Request::strict(),
+            &wl.codestream,
+            &policy,
+            Some(&mut breaker),
+        ) {
             Ok(resp) => {
                 assert_eq!(resp.image, *wl.reference, "chaos must never warp an image");
                 tally[0] += 1;

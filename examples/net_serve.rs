@@ -124,6 +124,7 @@ fn main() {
             &Request::strict(),
             &lossless.codestream,
             &NetRetryPolicy::default(),
+            None,
         )
         .expect("retry client must eventually decode");
     assert_eq!(

@@ -142,11 +142,11 @@ fn soak(config: ChaosConfig, iters: usize, seed: u64) -> SoakReport {
                     } else {
                         ModeSel::Lossy
                     });
-                    let slot = match client.decode_retry_guarded(
+                    let slot = match client.decode_retry(
                         &Request::strict(),
                         &wl.codestream,
                         &policy,
-                        &mut breaker,
+                        Some(&mut breaker),
                     ) {
                         Ok(resp) => {
                             // The one unacceptable failure mode is a
@@ -410,11 +410,11 @@ fn clean_clients_survive_alongside_chaotic_ones() {
                         let wl = workload(ModeSel::Lossless);
                         // Outcome irrelevant — only structure matters,
                         // and panics would fail the join below.
-                        let _ = cl.decode_retry_guarded(
+                        let _ = cl.decode_retry(
                             &Request::strict(),
                             &wl.codestream,
                             &policy,
-                            &mut breaker,
+                            Some(&mut breaker),
                         );
                     }
                 })
@@ -436,7 +436,7 @@ fn clean_clients_survive_alongside_chaotic_ones() {
                 ModeSel::Lossy
             });
             let resp = clean
-                .decode_retry(&Request::strict(), &wl.codestream, &policy)
+                .decode_retry(&Request::strict(), &wl.codestream, &policy, None)
                 .unwrap_or_else(|e| panic!("clean client starved at iter {i}: {e:?}"));
             assert_eq!(resp.image, *wl.reference, "clean client iter {i}");
         }

@@ -126,6 +126,7 @@ fn flood_gets_busy_frames_and_retry_always_lands() {
                 max_retries: 200,
                 ..NetRetryPolicy::default()
             },
+            None,
         )
         .expect("retry must eventually land");
     assert_eq!(resp.image, *wl.reference);
