@@ -1,4 +1,4 @@
-//! Estimated / Required Execution Time annotation blocks.
+//! Estimated Execution Time annotation blocks.
 //!
 //! OSSS annotates software timing with `OSSS_EET` blocks: the enclosed code
 //! runs functionally and the stated estimated time elapses. On the
@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use osss_sim::{Context, SimError, SimResult, SimTime};
+use osss_sim::{Context, SimResult, SimTime};
 
 /// Where annotated execution time is spent.
 ///
@@ -21,7 +21,7 @@ pub trait EetSink: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`SimError::Terminated`] when the simulation is shutting down.
+    /// [`osss_sim::SimError::Terminated`] when the simulation is shutting down.
     fn consume(&self, ctx: &Context, t: SimTime) -> SimResult<()>;
 
     /// Descriptive name of the resource (for reports).
@@ -106,71 +106,12 @@ impl TaskEnv {
     ///
     /// # Errors
     ///
-    /// [`SimError::Terminated`] when the simulation is shutting down.
+    /// [`osss_sim::SimError::Terminated`] when the simulation is shutting down.
     pub fn eet<R>(&self, ctx: &Context, estimated: SimTime, f: impl FnOnce() -> R) -> SimResult<R> {
         let r = f();
         self.sink.consume(ctx, estimated)?;
         Ok(r)
     }
-
-    /// `OSSS_RET` block: runs `f` (which may itself contain EETs and
-    /// blocking calls) and errors if more than `required` simulated time
-    /// elapsed — OSSS's deadline check.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Model`] on deadline violation; otherwise propagates
-    /// errors from `f`.
-    pub fn ret<R>(
-        &self,
-        ctx: &Context,
-        required: SimTime,
-        f: impl FnOnce(&Context) -> SimResult<R>,
-    ) -> SimResult<R> {
-        let start = ctx.now();
-        let r = f(ctx)?;
-        let elapsed = ctx.now() - start;
-        if elapsed > required {
-            return Err(SimError::model(format!(
-                "RET violated in task `{}`: required {required}, took {elapsed}",
-                self.name
-            )));
-        }
-        Ok(r)
-    }
-}
-
-/// Free-function form of an EET block on the Application Layer.
-///
-/// # Errors
-///
-/// [`SimError::Terminated`] when the simulation is shutting down.
-pub fn eet<R>(ctx: &Context, estimated: SimTime, f: impl FnOnce() -> R) -> SimResult<R> {
-    let r = f();
-    ctx.wait(estimated)?;
-    Ok(r)
-}
-
-/// Free-function form of an RET (deadline) block.
-///
-/// # Errors
-///
-/// [`SimError::Model`] on deadline violation; otherwise propagates errors
-/// from `f`.
-pub fn ret<R>(
-    ctx: &Context,
-    required: SimTime,
-    f: impl FnOnce(&Context) -> SimResult<R>,
-) -> SimResult<R> {
-    let start = ctx.now();
-    let r = f(ctx)?;
-    let elapsed = ctx.now() - start;
-    if elapsed > required {
-        return Err(SimError::model(format!(
-            "RET violated: required {required}, took {elapsed}"
-        )));
-    }
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -186,58 +127,6 @@ mod tests {
             let v = env.eet(ctx, SimTime::ms(180), || 41 + 1)?;
             assert_eq!(v, 42);
             assert_eq!(ctx.now(), SimTime::ms(180));
-            Ok(())
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn ret_passes_within_deadline() {
-        let mut sim = Simulation::new();
-        let env = TaskEnv::application_layer("t");
-        sim.spawn_process("p", move |ctx| {
-            env.ret(ctx, SimTime::ms(10), |ctx| ctx.wait(SimTime::ms(5)))?;
-            Ok(())
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn ret_violation_is_an_error() {
-        let mut sim = Simulation::new();
-        let env = TaskEnv::application_layer("t");
-        sim.spawn_process("p", move |ctx| {
-            env.ret(ctx, SimTime::ms(1), |ctx| ctx.wait(SimTime::ms(5)))
-                .map(|_| ())
-        });
-        let err = sim.run().expect_err("deadline violated");
-        assert!(matches!(err, SimError::Model(msg) if msg.contains("RET violated")));
-    }
-
-    #[test]
-    fn free_functions_match_env_behaviour() {
-        let mut sim = Simulation::new();
-        sim.spawn_process("p", move |ctx| {
-            let v = eet(ctx, SimTime::us(3), || 7)?;
-            assert_eq!(v, 7);
-            ret(ctx, SimTime::us(10), |ctx| ctx.wait(SimTime::us(2)))?;
-            assert_eq!(ctx.now(), SimTime::us(5));
-            Ok(())
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn nested_eet_inside_ret_counts() {
-        let mut sim = Simulation::new();
-        let env = TaskEnv::application_layer("t");
-        sim.spawn_process("p", move |ctx| {
-            let out = env.clone().ret(ctx, SimTime::ms(100), |ctx| {
-                env.eet(ctx, SimTime::ms(30), || ())?;
-                env.eet(ctx, SimTime::ms(40), || 5)
-            })?;
-            assert_eq!(out, 5);
-            assert_eq!(ctx.now(), SimTime::ms(70));
             Ok(())
         });
         sim.run().expect("run");

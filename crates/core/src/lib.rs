@@ -8,12 +8,13 @@
 //!   communication** between active components, with pluggable arbitration
 //!   ([`sched::Fcfs`], [`sched::RoundRobin`], [`sched::StaticPriority`])
 //!   and *guarded methods*.
-//! * [`TaskEnv`] + [`eet`]/[`ret`] — Estimated/Required Execution Time
-//!   annotation blocks. On the Application Layer an EET simply elapses
-//!   simulated time; on the VTA layer the same call consumes exclusive
-//!   processor time (see `osss-vta`), which is exactly the paper's
+//! * [`TaskEnv::eet`] — Estimated Execution Time annotation blocks. On
+//!   the Application Layer an EET simply elapses simulated time; on the
+//!   VTA layer the same call consumes exclusive processor time through an
+//!   [`EetSink`] (see `osss-vta`), which is exactly the paper's
 //!   "seamless refinement" property: behaviour code is written once.
-//! * [`SwTask`] / [`Module`] — the two active structural block kinds.
+//! * [`SwTask`] — the software task, one process with its [`TaskEnv`];
+//!   hardware blocks are plain kernel processes.
 //!
 //! ## Example
 //!
@@ -51,6 +52,6 @@ pub mod sched;
 mod shared;
 mod task;
 
-pub use eet::{eet, ret, EetSink, TaskEnv, UnboundTime};
+pub use eet::{EetSink, TaskEnv, UnboundTime};
 pub use shared::{CallOptions, SharedObject, SoStats};
-pub use task::{Module, SwTask};
+pub use task::SwTask;

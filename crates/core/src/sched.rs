@@ -27,18 +27,11 @@ pub struct Request {
 pub trait Arbiter: Send {
     /// Chooses the next request to grant.
     fn pick(&mut self, pending: &[Request]) -> Option<usize>;
-
-    /// Human-readable policy name (used in statistics dumps).
-    fn policy_name(&self) -> &'static str;
 }
 
 impl Arbiter for Box<dyn Arbiter> {
     fn pick(&mut self, pending: &[Request]) -> Option<usize> {
         self.as_mut().pick(pending)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        self.as_ref().policy_name()
     }
 }
 
@@ -60,10 +53,6 @@ impl Arbiter for Fcfs {
             .enumerate()
             .min_by_key(|(_, r)| r.seq)
             .map(|(i, _)| i)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        "fcfs"
     }
 }
 
@@ -105,10 +94,6 @@ impl Arbiter for RoundRobin {
         }
         chosen
     }
-
-    fn policy_name(&self) -> &'static str {
-        "round_robin"
-    }
 }
 
 /// Static priority: the highest [`Request::priority`] wins; ties broken by
@@ -130,10 +115,6 @@ impl Arbiter for StaticPriority {
             .enumerate()
             .min_by_key(|(_, r)| (std::cmp::Reverse(r.priority), r.seq))
             .map(|(i, _)| i)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        "static_priority"
     }
 }
 
@@ -158,7 +139,6 @@ mod tests {
         let mut a = Fcfs::new();
         let pending = [req(2, 0, 5), req(0, 9, 3), req(1, 0, 7)];
         assert_eq!(a.pick(&pending), Some(1)); // seq 3 first, priority ignored
-        assert_eq!(a.policy_name(), "fcfs");
         assert_eq!(a.pick(&[]), None);
     }
 

@@ -7,7 +7,7 @@ use osss_sim::{lock_unpoisoned, Context, Event, ProcId, SimResult, SimTime, Simu
 
 use crate::sched::{Arbiter, Request};
 
-/// Per-call options for [`SharedObject::call_with`].
+/// Per-call options for [`SharedObject::call_guarded_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CallOptions {
     /// Arbitration priority (meaningful for priority arbiters; larger wins).
@@ -39,28 +39,6 @@ pub struct SoStats {
     pub total_busy: SimTime,
     /// Largest number of simultaneously pending requests observed.
     pub max_pending: usize,
-}
-
-impl SoStats {
-    /// Accumulates `other` into `self`: counters and times saturate at
-    /// their numeric bounds (a long soak simulation must peg its
-    /// counters, not wrap or panic) and `max_pending` takes the maximum.
-    /// Report paths use this to combine per-object or per-worker
-    /// snapshots into one row.
-    pub fn merge(&mut self, other: &SoStats) {
-        self.calls = self.calls.saturating_add(other.calls);
-        self.total_arbitration_wait = self
-            .total_arbitration_wait
-            .saturating_add(other.total_arbitration_wait);
-        self.total_busy = self.total_busy.saturating_add(other.total_busy);
-        self.max_pending = self.max_pending.max(other.max_pending);
-    }
-}
-
-impl std::ops::AddAssign<SoStats> for SoStats {
-    fn add_assign(&mut self, rhs: SoStats) {
-        self.merge(&rhs);
-    }
 }
 
 struct State {
@@ -184,7 +162,9 @@ impl<T: Send + 'static> SharedObject<T> {
         }
     }
 
-    /// Blocking method call with default options. See [`Self::call_with`].
+    /// Blocking method call: waits for the arbiter's grant, runs `f` on the
+    /// wrapped data (the body may consume simulated time through
+    /// `ctx.wait`), releases the object and returns `f`'s result.
     ///
     /// # Errors
     ///
@@ -194,23 +174,9 @@ impl<T: Send + 'static> SharedObject<T> {
         ctx: &Context,
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
-        self.call_with(ctx, CallOptions::new(), f)
-    }
-
-    /// Blocking method call: waits for the arbiter's grant, runs `f` on the
-    /// wrapped data (the body may consume simulated time through
-    /// `ctx.wait`), releases the object and returns `f`'s result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel termination and errors from `f`.
-    pub fn call_with<R>(
-        &self,
-        ctx: &Context,
-        opts: CallOptions,
-        f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
-    ) -> SimResult<R> {
-        self.call_inner(ctx, opts, |data, ctx| f(data, ctx).map(|r| (true, r)))
+        self.call_inner(ctx, CallOptions::new(), |data, ctx| {
+            f(data, ctx).map(|r| (true, r))
+        })
     }
 
     /// Blocking guarded method call: waits until both the object grants
@@ -232,7 +198,8 @@ impl<T: Send + 'static> SharedObject<T> {
         self.call_guarded_with(ctx, CallOptions::new(), guard, f)
     }
 
-    /// [`Self::call_guarded`] with explicit [`CallOptions`].
+    /// [`Self::call_guarded`] with explicit [`CallOptions`]; an
+    /// always-true guard makes it a plain call at that priority.
     ///
     /// # Errors
     ///
@@ -404,10 +371,16 @@ mod tests {
             let order = Arc::clone(&order);
             sim.spawn_process(&format!("c{i}"), move |ctx| {
                 ctx.wait(SimTime::ns(100))?;
-                so.call_with(ctx, CallOptions::new().priority(prio), |_, ctx| {
-                    order.lock().unwrap().push(i);
-                    ctx.wait(SimTime::us(1))
-                })
+                let opts = CallOptions::new().priority(prio);
+                so.call_guarded_with(
+                    ctx,
+                    opts,
+                    |_| true,
+                    |_, ctx| {
+                        order.lock().unwrap().push(i);
+                        ctx.wait(SimTime::us(1))
+                    },
+                )
             });
         }
         sim.run().expect("run");
@@ -523,31 +496,6 @@ mod tests {
         // The first request was granted (and dequeued) before the second
         // arrived, so at most one request was ever pending at once.
         assert_eq!(stats.max_pending, 1);
-    }
-
-    #[test]
-    fn stats_merge_saturates_at_the_u64_boundary() {
-        let mut a = SoStats {
-            calls: u64::MAX - 1,
-            total_arbitration_wait: SimTime::MAX,
-            total_busy: SimTime::ZERO,
-            max_pending: 3,
-        };
-        let b = SoStats {
-            calls: 7,
-            total_arbitration_wait: SimTime::us(1),
-            total_busy: SimTime::MAX,
-            max_pending: 2,
-        };
-        a += b;
-        assert_eq!(a.calls, u64::MAX);
-        assert_eq!(a.total_arbitration_wait, SimTime::MAX);
-        assert_eq!(a.total_busy, SimTime::MAX);
-        assert_eq!(a.max_pending, 3);
-        // Merging a default is the identity.
-        let before = a;
-        a += SoStats::default();
-        assert_eq!(a, before);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Active structural blocks: software tasks and hardware modules.
+//! Software tasks: the active blocks that software runs in.
 //!
-//! OSSS distinguishes two kinds of active components: a *Software Task*
-//! holds exactly one process; a *(hardware) Module* may hold several
-//! concurrent processes. Both communicate through shared objects.
+//! An OSSS *Software Task* holds exactly one process; hardware blocks
+//! are plain kernel processes. Both communicate through shared objects.
 
 use osss_sim::{Context, ProcId, SimResult, Simulation};
 
@@ -68,61 +67,6 @@ impl SwTask {
     }
 }
 
-/// A hardware module: a named group of concurrent processes.
-///
-/// # Example
-///
-/// ```
-/// use osss_sim::{Simulation, SimTime};
-/// use osss_core::Module;
-///
-/// # fn main() -> Result<(), osss_sim::SimError> {
-/// let mut sim = Simulation::new();
-/// Module::build(&mut sim, "idwt")
-///     .process("control", |ctx| ctx.wait(SimTime::ns(10)))
-///     .process("datapath", |ctx| ctx.wait(SimTime::ns(20)));
-/// assert_eq!(sim.run()?.end_time, SimTime::ns(20));
-/// # Ok(())
-/// # }
-/// ```
-pub struct Module<'sim> {
-    sim: &'sim mut Simulation,
-    name: String,
-    processes: Vec<(String, ProcId)>,
-}
-
-impl<'sim> Module<'sim> {
-    /// Starts building a module.
-    pub fn build(sim: &'sim mut Simulation, name: &str) -> Self {
-        Module {
-            sim,
-            name: name.to_string(),
-            processes: Vec::new(),
-        }
-    }
-
-    /// Adds a concurrent process named `module.process` to the module.
-    pub fn process<F>(mut self, name: &str, body: F) -> Self
-    where
-        F: FnOnce(&Context) -> SimResult<()> + Send + 'static,
-    {
-        let full = format!("{}.{}", self.name, name);
-        let pid = self.sim.spawn_process(&full, body);
-        self.processes.push((full, pid));
-        self
-    }
-
-    /// The module name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Names and ids of the processes added so far.
-    pub fn processes(&self) -> &[(String, ProcId)] {
-        &self.processes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,19 +81,6 @@ mod tests {
         });
         assert_eq!(task.name(), "t");
         assert_eq!(sim.run().expect("run").end_time, SimTime::us(7));
-    }
-
-    #[test]
-    fn module_processes_run_concurrently() {
-        let mut sim = Simulation::new();
-        let m = Module::build(&mut sim, "idwt")
-            .process("a", |ctx| ctx.wait(SimTime::ns(30)))
-            .process("b", |ctx| ctx.wait(SimTime::ns(50)));
-        assert_eq!(m.processes().len(), 2);
-        assert_eq!(m.processes()[0].0, "idwt.a");
-        drop(m);
-        // Concurrent, not sequential: 50 ns, not 80 ns.
-        assert_eq!(sim.run().expect("run").end_time, SimTime::ns(50));
     }
 
     #[test]

@@ -36,14 +36,20 @@ fn exercise(
         sim.spawn_process(&format!("c{k}"), move |ctx| {
             ctx.wait(SimTime::ns(stagger_ns * k as u64))?;
             for _ in 0..calls {
-                so.call_with(ctx, CallOptions::new().priority(k as u32), |v, ctx| {
-                    let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    *v += 1;
-                    let r = ctx.wait(SimTime::ns(hold_ns));
-                    inside.fetch_sub(1, Ordering::SeqCst);
-                    r
-                })?;
+                let opts = CallOptions::new().priority(k as u32);
+                so.call_guarded_with(
+                    ctx,
+                    opts,
+                    |_| true,
+                    |v, ctx| {
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        *v += 1;
+                        let r = ctx.wait(SimTime::ns(hold_ns));
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        r
+                    },
+                )?;
             }
             Ok(())
         });
@@ -140,7 +146,8 @@ proptest! {
             let order = Arc::clone(&order);
             sim.spawn_process(&format!("c{i}"), move |ctx| {
                 ctx.wait(SimTime::ns(10))?; // all queue while occupied
-                so.call_with(ctx, CallOptions::new().priority(p), |_, ctx| {
+                let opts = CallOptions::new().priority(p);
+                so.call_guarded_with(ctx, opts, |_| true, |_, ctx| {
                     order.lock().unwrap().push(p);
                     ctx.wait(SimTime::ns(10))
                 })

@@ -239,6 +239,10 @@ pub struct ChaosProxyStats {
     pub connections: u64,
     /// Connections blackholed (accepted, never forwarded).
     pub blackholed: u64,
+    /// Connections dropped because the dial to the target failed: the
+    /// client sees EOF, as after an injected drop, but no fault caused
+    /// it.
+    pub dial_failures: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -251,6 +255,7 @@ struct Shared {
     shutdown: AtomicBool,
     connections: AtomicU64,
     blackholed: AtomicU64,
+    dial_failures: AtomicU64,
     upstream: Mutex<ChaosStats>,
     downstream: Mutex<ChaosStats>,
 }
@@ -282,6 +287,7 @@ impl ChaosProxy {
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             blackholed: AtomicU64::new(0),
+            dial_failures: AtomicU64::new(0),
             upstream: Mutex::new(ChaosStats::default()),
             downstream: Mutex::new(ChaosStats::default()),
         });
@@ -312,6 +318,7 @@ impl ChaosProxy {
             downstream: *lock_unpoisoned(&self.shared.downstream),
             connections: self.shared.connections.load(Ordering::Relaxed),
             blackholed: self.shared.blackholed.load(Ordering::Relaxed),
+            dial_failures: self.shared.dial_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -376,7 +383,10 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
         let backend = match TcpStream::connect(shared.target) {
             Ok(b) => b,
             // Backend unreachable: drop the client (it sees EOF).
-            Err(_) => continue,
+            Err(_) => {
+                shared.dial_failures.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
         };
         // Forward every chunk as soon as it is written, as the server
         // and client sockets do: with Nagle on, a frame's tail waits for
@@ -523,6 +533,28 @@ mod tests {
             }
         });
         (addr, handle)
+    }
+
+    /// A client whose target cannot be dialled reads EOF, and the
+    /// proxy counts the failed dial apart from its injected faults.
+    #[test]
+    fn a_failed_backend_dial_is_counted() {
+        // A loopback port with no listener behind it.
+        let target = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let proxy = ChaosProxy::start(target, ChaosConfig::clean(7)).unwrap();
+        let mut c = TcpStream::connect(proxy.local_addr()).unwrap();
+        let mut back = Vec::new();
+        c.read_to_end(&mut back).unwrap();
+        assert!(back.is_empty(), "nothing to relay");
+        let stats = proxy.shutdown();
+        assert_eq!(
+            (stats.connections, stats.dial_failures),
+            (1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.upstream.drops + stats.downstream.drops, 0);
     }
 
     #[test]

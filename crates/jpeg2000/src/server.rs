@@ -37,8 +37,10 @@
 //! [`ServerConfig::idle_timeout`], reads the frame itself within
 //! [`ServerConfig::frame_deadline`] and writes its answer within the
 //! same budget. Every wait goes through the deadline adapter the wire
-//! client uses; the reads and the drain of a rejected peer also watch
-//! the shutdown flag every 20 ms.
+//! client uses; the wait for a first byte and the drain of a rejected
+//! peer also watch the shutdown flag every 20 ms. A frame that has
+//! begun is in flight: it is read, served and answered whatever the
+//! flag says.
 //!
 //! The acceptor's admit rule and the handler's outcome rules (which
 //! counter, which answer, keep or close) live in one crate-private state
@@ -368,9 +370,11 @@ impl Drop for Slot {
 /// socket I/O and hands what it returned to the phase's transition on
 /// [`Meters`], which tallies it and names the next phase.
 enum Phase {
-    /// Waiting for a frame's first byte.
+    /// Waiting for a frame's first byte; shutdown ends the wait.
     Wait,
-    /// A frame has begun.
+    /// A frame has begun. From here the request is in flight: its
+    /// frame is read and its answer written under the frame deadline
+    /// alone, so shutdown does not cut it short.
     Read,
     /// A CRC-valid frame's payload, for the service.
     Serve(Vec<u8>),
@@ -400,7 +404,10 @@ impl Meters {
         Admit::Busy((draining.get() < MAX_DRAINS as i64).then(|| Slot::take(draining)))
     }
 
-    /// The wait for a frame's first byte returned `peeked`.
+    /// The wait for a frame's first byte returned `peeked`. Once a
+    /// byte is in, the request is answered like any in flight, even if
+    /// the server has begun to shut down since; a peer still quiet at
+    /// shutdown is told why it is closed.
     fn waited(&self, peeked: io::Result<usize>, shutting_down: bool) -> Phase {
         match peeked {
             Ok(0) => Phase::Close(None), // clean EOF between frames
@@ -411,7 +418,6 @@ impl Meters {
                 self.idle_reaped.inc();
                 Phase::Close(None)
             }
-            // Tell a quiet peer why it is being closed.
             Err(_) => Phase::Close(shutting_down.then(refused)),
         }
     }
@@ -588,6 +594,11 @@ fn respond_and_close(stream: &TcpStream, payload: &[u8]) -> io::Result<()> {
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let (config, m) = (&shared.config, &shared.meters);
     let _ = stream.set_nodelay(true);
+    // A frame in flight, either way, races the frame deadline alone: a
+    // peer trickling a byte per poll window is evicted instead of
+    // pinning the handler (slow-loris), and the shutdown flag does not
+    // cut a begun request short.
+    let in_flight = || Deadline::new(&stream, Instant::now().checked_add(config.frame_deadline));
     let mut phase = Phase::Wait;
     loop {
         phase = match phase {
@@ -598,26 +609,14 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                     .peek(&mut [0u8; 1]),
                 shared.shutdown.load(Ordering::SeqCst),
             ),
-            // The whole frame races one budget, so a peer trickling a
-            // byte per poll window is evicted instead of pinning the
-            // handler (slow-loris).
-            Phase::Read => {
-                let mut frame = shared.bounded(&stream, config.frame_deadline);
-                m.read(read_frame(&mut frame, MAX_FRAME_BYTES))
-            }
+            Phase::Read => m.read(read_frame(&mut in_flight(), MAX_FRAME_BYTES)),
             Phase::Serve(payload) => m.served(&payload, |wire| {
                 shared
                     .service
                     .submit_wait(wire.stream, wire.request, config.submit_timeout)
                     .and_then(Ticket::wait)
             }),
-            // So does the answer, against a peer reading a byte per
-            // window. It does not watch the shutdown flag: in-flight
-            // requests finish.
-            Phase::Answer(answer) => {
-                let at = Instant::now().checked_add(config.frame_deadline);
-                m.wrote(write_frame(&mut Deadline::new(&stream, at), &answer))
-            }
+            Phase::Answer(answer) => m.wrote(write_frame(&mut in_flight(), &answer)),
             Phase::Close(last) => {
                 if let Some(last) = last {
                     let _ = respond_and_close(&stream, &last);
@@ -843,6 +842,35 @@ mod tests {
             Some(stats.ok)
         );
         assert_eq!(snap.gauges.get("server.active").copied(), Some(0));
+    }
+
+    /// Regression: shutdown began after the handler had seen a
+    /// request's first bytes, the read of the rest aborted on the flag,
+    /// and the request ended as a frame reject with no answer, where a
+    /// handler still waiting answers refused. A begun request is in
+    /// flight, and is answered.
+    #[test]
+    fn a_request_begun_before_shutdown_is_answered() {
+        use std::io::Write as _;
+        let server = start(small_service(1, 4), ServerConfig::default());
+        let (img, bytes) = lossless_stream(23);
+        let mut frame = Vec::new();
+        crate::net::write_frame(&mut frame, &encode_request(&Request::strict(), &bytes)).unwrap();
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&frame[..8]).unwrap();
+        // The handler sees the head; then the shutdown starts, and waits
+        // for the handler; then the rest of the frame goes out.
+        std::thread::sleep(Duration::from_millis(200));
+        let stopping = std::thread::spawn(move || server.shutdown());
+        std::thread::sleep(Duration::from_millis(200));
+        raw.write_all(&frame[8..]).unwrap();
+        let reply = crate::net::read_frame(&mut raw, MAX_FRAME_BYTES)
+            .unwrap()
+            .expect("an answer, not a close");
+        assert_eq!(crate::net::decode_response(&reply).unwrap().image, img);
+        let stats = stopping.join().unwrap();
+        assert_eq!((stats.ok, stats.frame_rejects), (1, 0), "{stats:?}");
+        assert!(stats.reconciles(), "{stats:?}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl Platform {
         let bus: Arc<dyn Channel> = Arc::new(OpbBus::new(sim, "opb", BusConfig::opb_100mhz()));
         let hwsw = SharedObject::new(sim, "hwsw_so", HwSwState::new(2), Fcfs::new());
         let params = SharedObject::new(sim, "idwt_params_so", ParamsState::default(), Fcfs::new());
-        let bram = XilinxBlockRam::<i16>::new(sim, "tile_bram", 2 * 65_536, clk);
+        let bram = XilinxBlockRam::<i16>::new("tile_bram", 2 * 65_536, clk);
         let data_link: Arc<dyn Channel> = if p2p {
             Arc::new(P2pChannel::new(sim, "link_idwt_data", clk))
         } else {

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use osss_core::{sched::Fcfs, CallOptions, SharedObject};
+use osss_core::{sched::Fcfs, SharedObject};
 use osss_sim::{Context, Frequency, SimResult, SimTime, Simulation};
 
 use crate::channel::{Channel, ChannelStats};
@@ -30,17 +30,6 @@ impl BusConfig {
             cycles_per_word: 3,
         }
     }
-
-    /// A PLB-class alternative: wider/pipelined transfers (1 cycle per
-    /// word) at the cost of a longer arbitration phase — the "different
-    /// bus protocols" axis the paper's exploration mentions.
-    pub fn plb_100mhz() -> Self {
-        BusConfig {
-            freq: Frequency::mhz(100),
-            arbitration_cycles: 5,
-            cycles_per_word: 1,
-        }
-    }
 }
 
 /// A shared bus: all masters' transfers serialise through one arbiter,
@@ -59,7 +48,7 @@ impl BusConfig {
 /// for i in 0..2 {
 ///     let bus = bus.clone();
 ///     sim.spawn_process(&format!("master{i}"), move |ctx| {
-///         bus.transfer(ctx, 100, 0) // 1 + 100×3 cycles each
+///         bus.transfer(ctx, 100) // 1 + 100×3 cycles each
 ///     });
 /// }
 /// // Two 301-cycle transfers serialise: 602 cycles at 10 ns.
@@ -84,11 +73,6 @@ impl OpbBus {
         }
     }
 
-    /// The configured timing parameters.
-    pub fn config(&self) -> BusConfig {
-        self.config
-    }
-
     /// The duration of a `words`-word transfer excluding arbitration wait.
     pub fn transfer_time(&self, words: usize) -> SimTime {
         self.config
@@ -98,13 +82,10 @@ impl OpbBus {
 }
 
 impl Channel for OpbBus {
-    fn transfer(&self, ctx: &Context, words: usize, priority: u32) -> SimResult<()> {
+    fn transfer(&self, ctx: &Context, words: usize) -> SimResult<()> {
         let dur = self.transfer_time(words);
         self.words.fetch_add(words as u64, Ordering::Relaxed);
-        self.so
-            .call_with(ctx, CallOptions::new().priority(priority), |_, ctx| {
-                ctx.wait(dur)
-            })
+        self.so.call(ctx, |_, ctx| ctx.wait(dur))
     }
 
     fn name(&self) -> String {
@@ -137,25 +118,13 @@ mod tests {
     }
 
     #[test]
-    fn plb_beats_opb_for_bulk_but_not_for_single_words() {
-        let mut sim = Simulation::new();
-        let opb = OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz());
-        let plb = OpbBus::new(&mut sim, "plb", BusConfig::plb_100mhz());
-        // Single word: OPB's short arbitration wins.
-        assert!(opb.transfer_time(1) < plb.transfer_time(1));
-        // Bulk tile transfer: the pipelined bus wins decisively.
-        assert!(plb.transfer_time(32_768) < opb.transfer_time(32_768) / 2);
-        drop(sim);
-    }
-
-    #[test]
     fn contention_accumulates_with_masters() {
         for masters in [1usize, 2, 4] {
             let mut sim = Simulation::new();
             let bus = OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz());
             for i in 0..masters {
                 let bus = bus.clone();
-                sim.spawn_process(&format!("m{i}"), move |ctx| bus.transfer(ctx, 50, 0));
+                sim.spawn_process(&format!("m{i}"), move |ctx| bus.transfer(ctx, 50));
             }
             let per_transfer = bus.transfer_time(50);
             let report = sim.run().expect("run");
@@ -173,13 +142,13 @@ mod tests {
         let bus = OpbBus::new(&mut sim, "opb", BusConfig::opb_100mhz());
         let b1 = bus.clone();
         sim.spawn_process("early", move |ctx| {
-            b1.transfer(ctx, 10, 0)?;
-            b1.transfer(ctx, 10, 0)
+            b1.transfer(ctx, 10)?;
+            b1.transfer(ctx, 10)
         });
         let b2 = bus.clone();
         sim.spawn_process("late", move |ctx| {
             ctx.wait(SimTime::ns(5))?;
-            b2.transfer(ctx, 10, 0)
+            b2.transfer(ctx, 10)
         });
         let report = sim.run().expect("run");
         // Three 31-cycle transfers back to back.

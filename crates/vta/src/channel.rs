@@ -41,12 +41,6 @@ impl ChannelStats {
     }
 }
 
-impl std::ops::AddAssign<ChannelStats> for ChannelStats {
-    fn add_assign(&mut self, rhs: ChannelStats) {
-        self.merge(&rhs);
-    }
-}
-
 /// What became of one transfer on an imperfect channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferOutcome {
@@ -62,13 +56,6 @@ pub enum TransferOutcome {
     Dropped,
 }
 
-impl TransferOutcome {
-    /// Whether the receiver can accept the frame as-is.
-    pub fn is_clean(self) -> bool {
-        matches!(self, TransferOutcome::Clean)
-    }
-}
-
 /// A physical communication resource of the Virtual Target Architecture.
 ///
 /// The RMI layer ([`crate::RmiService`]) is written against this trait,
@@ -79,14 +66,11 @@ pub trait Channel: Send + Sync {
     /// Moves `words` 32-bit words across the channel on behalf of the
     /// calling process, blocking through arbitration and transfer time.
     ///
-    /// `priority` is honoured by priority-arbitrated channels and ignored
-    /// otherwise.
-    ///
     /// # Errors
     ///
     /// [`osss_sim::SimError::Terminated`] when the simulation is shutting
     /// down.
-    fn transfer(&self, ctx: &Context, words: usize, priority: u32) -> SimResult<()>;
+    fn transfer(&self, ctx: &Context, words: usize) -> SimResult<()>;
 
     /// Like [`Channel::transfer`], but reports what became of the frame.
     ///
@@ -101,13 +85,8 @@ pub trait Channel: Send + Sync {
     ///
     /// [`osss_sim::SimError::Terminated`] when the simulation is shutting
     /// down.
-    fn transfer_outcome(
-        &self,
-        ctx: &Context,
-        words: usize,
-        priority: u32,
-    ) -> SimResult<TransferOutcome> {
-        self.transfer(ctx, words, priority)?;
+    fn transfer_outcome(&self, ctx: &Context, words: usize) -> SimResult<TransferOutcome> {
+        self.transfer(ctx, words)?;
         Ok(TransferOutcome::Clean)
     }
 
@@ -136,7 +115,7 @@ mod tests {
             busy: SimTime::ns(1),
             arbitration_wait: SimTime::MAX,
         };
-        a += b;
+        a.merge(&b);
         assert_eq!(a.transfers, u64::MAX);
         assert_eq!(a.words, u64::MAX);
         assert_eq!(a.busy, SimTime::MAX);

@@ -1,11 +1,11 @@
 //! Deterministic transport fault injection.
 //!
 //! [`FaultyChannel`] decorates any [`Channel`] (OPB bus, P2P link) with a
-//! seeded fault process: per-word bit flips, whole-transfer drops, and
-//! bounded arbitration stalls. Faults are keyed off a monotonic transfer
-//! counter hashed with the seed — never off wall-clock or a global RNG —
-//! so every replay of a simulation is bit-identical, which is what makes
-//! fault-sweep experiments and their regression tests reproducible.
+//! seeded fault process: per-word bit flips and whole-transfer drops.
+//! Faults are keyed off a monotonic transfer counter hashed with the
+//! seed — never off wall-clock or a global RNG — so every replay of a
+//! simulation is bit-identical, which is what makes fault-sweep
+//! experiments and their regression tests reproducible.
 //!
 //! The decorator is transparent for timing bookkeeping: `stats()`
 //! forwards to the inner channel (words still occupy the wires whether
@@ -15,13 +15,12 @@
 use std::sync::{Arc, Mutex};
 
 use crate::channel::{Channel, ChannelStats, TransferOutcome};
-use osss_sim::{lock_unpoisoned, Context, SimResult, SimTime};
+use osss_sim::{lock_unpoisoned, Context, SimResult};
 
 /// Domain-separation constants for the per-fault-kind hash streams.
 const STREAM_TRANSFER: u64 = 0x7452_414E_5346_4552; // "TRANSFER"
 const STREAM_DROP: u64 = 0x4452_4F50_4452_4F50; // "DROPDROP"
 const STREAM_FLIP: u64 = 0x464C_4950_464C_4950; // "FLIPFLIP"
-const STREAM_STALL: u64 = 0x5354_414C_5354_414C; // "STALSTAL"
 
 /// A splitmix64-style hash of `(seed, stream, n)`.
 ///
@@ -55,10 +54,6 @@ pub struct FaultConfig {
     pub bit_flip_per_word: f64,
     /// Probability that a whole transfer is lost.
     pub drop_rate: f64,
-    /// Probability that a transfer suffers an extra arbitration stall.
-    pub stall_rate: f64,
-    /// Upper bound on one injected stall (inclusive).
-    pub max_stall: SimTime,
 }
 
 impl FaultConfig {
@@ -68,8 +63,6 @@ impl FaultConfig {
             seed,
             bit_flip_per_word: 0.0,
             drop_rate: 0.0,
-            stall_rate: 0.0,
-            max_stall: SimTime::ZERO,
         }
     }
 
@@ -82,13 +75,6 @@ impl FaultConfig {
     /// Sets the dropped-transfer probability.
     pub fn with_drops(mut self, rate: f64) -> Self {
         self.drop_rate = rate;
-        self
-    }
-
-    /// Sets the stall probability and the latency-spike bound.
-    pub fn with_stalls(mut self, rate: f64, max_stall: SimTime) -> Self {
-        self.stall_rate = rate;
-        self.max_stall = max_stall;
         self
     }
 }
@@ -106,46 +92,6 @@ pub struct FaultStats {
     pub corrupt_transfers: u64,
     /// Total damaged words.
     pub corrupt_words: u64,
-    /// Injected latency spikes.
-    pub stalls: u64,
-    /// Total injected stall time.
-    pub stall_time: SimTime,
-}
-
-impl FaultStats {
-    /// Accumulates `other` into `self`, saturating at the numeric bounds.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.transfers = self.transfers.saturating_add(other.transfers);
-        self.words = self.words.saturating_add(other.words);
-        self.dropped = self.dropped.saturating_add(other.dropped);
-        self.corrupt_transfers = self
-            .corrupt_transfers
-            .saturating_add(other.corrupt_transfers);
-        self.corrupt_words = self.corrupt_words.saturating_add(other.corrupt_words);
-        self.stalls = self.stalls.saturating_add(other.stalls);
-        self.stall_time = self.stall_time.saturating_add(other.stall_time);
-    }
-
-    /// Exports the snapshot into `reg` under `<prefix>.` (one counter
-    /// per field; `stall_time` as `<prefix>.stall_ps`).
-    pub fn export_to(&self, reg: &osss_sim::probe::MetricsRegistry, prefix: &str) {
-        reg.add_counter(&format!("{prefix}.transfers"), self.transfers);
-        reg.add_counter(&format!("{prefix}.words"), self.words);
-        reg.add_counter(&format!("{prefix}.dropped"), self.dropped);
-        reg.add_counter(
-            &format!("{prefix}.corrupt_transfers"),
-            self.corrupt_transfers,
-        );
-        reg.add_counter(&format!("{prefix}.corrupt_words"), self.corrupt_words);
-        reg.add_counter(&format!("{prefix}.stalls"), self.stalls);
-        reg.add_counter(&format!("{prefix}.stall_ps"), self.stall_time.as_ps());
-    }
-}
-
-impl std::ops::AddAssign<FaultStats> for FaultStats {
-    fn add_assign(&mut self, rhs: FaultStats) {
-        self.merge(&rhs);
-    }
 }
 
 struct FaultState {
@@ -166,7 +112,7 @@ struct FaultState {
 ///
 /// ```
 /// use osss_sim::{Simulation, Frequency};
-/// use osss_vta::{Channel, FaultConfig, FaultyChannel, P2pChannel};
+/// use osss_vta::{Channel, FaultConfig, FaultyChannel, P2pChannel, TransferOutcome};
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), osss_sim::SimError> {
@@ -175,8 +121,7 @@ struct FaultState {
 /// let faulty = Arc::new(FaultyChannel::new(link, FaultConfig::none(42).with_drops(1.0)));
 /// let probe = Arc::clone(&faulty);
 /// sim.spawn_process("client", move |ctx| {
-///     let outcome = probe.transfer_outcome(ctx, 64, 0)?;
-///     assert!(!outcome.is_clean());
+///     assert_eq!(probe.transfer_outcome(ctx, 64)?, TransferOutcome::Dropped);
 ///     Ok(())
 /// });
 /// sim.run()?.expect_all_finished()?;
@@ -203,11 +148,6 @@ impl FaultyChannel {
         }
     }
 
-    /// The fault process configuration.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
-
     /// Snapshot of the injected-fault accounting.
     pub fn fault_stats(&self) -> FaultStats {
         lock_unpoisoned(&self.state).stats
@@ -215,16 +155,11 @@ impl FaultyChannel {
 }
 
 impl Channel for FaultyChannel {
-    fn transfer(&self, ctx: &Context, words: usize, priority: u32) -> SimResult<()> {
-        self.transfer_outcome(ctx, words, priority).map(|_| ())
+    fn transfer(&self, ctx: &Context, words: usize) -> SimResult<()> {
+        self.transfer_outcome(ctx, words).map(|_| ())
     }
 
-    fn transfer_outcome(
-        &self,
-        ctx: &Context,
-        words: usize,
-        priority: u32,
-    ) -> SimResult<TransferOutcome> {
+    fn transfer_outcome(&self, ctx: &Context, words: usize) -> SimResult<TransferOutcome> {
         let cfg = &self.config;
         let n = {
             let mut st = lock_unpoisoned(&self.state);
@@ -234,17 +169,9 @@ impl Channel for FaultyChannel {
         };
         let base = mix(cfg.seed, STREAM_TRANSFER, n);
 
-        // Latency spike first: it models losing extra arbitration rounds
-        // before the grant, so it delays the whole transfer.
-        let mut stall = SimTime::ZERO;
-        if cfg.stall_rate > 0.0 && unit(mix(base, STREAM_STALL, 0)) < cfg.stall_rate {
-            stall = SimTime::ps(mix(base, STREAM_STALL, 1) % (cfg.max_stall.as_ps() + 1));
-            ctx.wait(stall)?;
-        }
-
         // The words occupy the wires whether or not they arrive intact,
         // so the inner channel's time and stats are always paid.
-        self.inner.transfer(ctx, words, priority)?;
+        self.inner.transfer(ctx, words)?;
 
         let outcome = if cfg.drop_rate > 0.0 && unit(mix(base, STREAM_DROP, 0)) < cfg.drop_rate {
             TransferOutcome::Dropped
@@ -265,10 +192,6 @@ impl Channel for FaultyChannel {
         let s = &mut st.stats;
         s.transfers = s.transfers.saturating_add(1);
         s.words = s.words.saturating_add(words as u64);
-        if !stall.is_zero() {
-            s.stalls = s.stalls.saturating_add(1);
-            s.stall_time = s.stall_time.saturating_add(stall);
-        }
         match outcome {
             TransferOutcome::Dropped => s.dropped = s.dropped.saturating_add(1),
             TransferOutcome::Corrupt { corrupt_words } => {
@@ -308,8 +231,8 @@ mod tests {
         let out2 = Arc::clone(&out);
         sim.spawn_process("client", move |ctx| {
             for _ in 0..transfers {
-                let o = probe.transfer_outcome(ctx, words, 0)?;
-                lock_unpoisoned(&out2).push(o.is_clean());
+                let o = probe.transfer_outcome(ctx, words)?;
+                lock_unpoisoned(&out2).push(o == TransferOutcome::Clean);
             }
             Ok(())
         });
@@ -323,10 +246,7 @@ mod tests {
 
     #[test]
     fn same_seed_replays_bit_identically() {
-        let cfg = FaultConfig::none(7)
-            .with_drops(0.3)
-            .with_bit_flips(0.01)
-            .with_stalls(0.2, SimTime::us(5));
+        let cfg = FaultConfig::none(7).with_drops(0.3).with_bit_flips(0.01);
         let (a, sa) = run_outcomes(cfg, 50, 32);
         let (b, sb) = run_outcomes(cfg, 50, 32);
         assert_eq!(a, b);
@@ -351,7 +271,6 @@ mod tests {
         assert!(outcomes.iter().all(|&c| c));
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.corrupt_transfers, 0);
-        assert_eq!(stats.stalls, 0);
         assert_eq!(stats.transfers, 20);
         assert_eq!(stats.words, 320);
     }
@@ -369,15 +288,5 @@ mod tests {
         assert!(outcomes.iter().all(|&c| !c));
         assert_eq!(stats.corrupt_transfers, 5);
         assert_eq!(stats.corrupt_words, 40);
-    }
-
-    #[test]
-    fn stalls_are_bounded_and_slow_the_run() {
-        let max = SimTime::us(3);
-        let cfg = FaultConfig::none(5).with_stalls(1.0, max);
-        let (_, stats) = run_outcomes(cfg, 10, 4);
-        assert_eq!(stats.stalls, 10);
-        assert!(stats.stall_time <= max * 10);
-        assert!(!stats.stall_time.is_zero(), "rate 1.0 must inject stalls");
     }
 }

@@ -19,9 +19,8 @@
 //!   seeded, deterministic transport fault injector and a CRC-framed,
 //!   retrying RMI protocol that survives it (timeout, bounded retries,
 //!   exponential backoff).
-//! * [`XilinxBlockRam`] / [`DdrController`] — explicit memories; inserting
-//!   them into a shared object is what inflates the VTA IDWT times in
-//!   Table 1.
+//! * [`XilinxBlockRam`] — explicit memory; inserting it into a shared
+//!   object is what inflates the VTA IDWT times in Table 1.
 //! * [`PlatformDesc`] — a declarative description of the assembled
 //!   platform, consumed by `fossy`'s MHS/MSS emitters.
 //!
@@ -63,7 +62,7 @@ mod serialise;
 pub use bus::{BusConfig, OpbBus};
 pub use channel::{Channel, ChannelStats, TransferOutcome};
 pub use fault::{FaultConfig, FaultStats, FaultyChannel};
-pub use mem::{DdrController, MemStats, XilinxBlockRam};
+pub use mem::{MemStats, XilinxBlockRam};
 pub use p2p::P2pChannel;
 pub use platform::{BusDesc, MemoryDesc, P2pDesc, PlatformDesc, ProcessorDesc};
 pub use processor::{CpuStats, SoftwareProcessor};
@@ -71,4 +70,4 @@ pub use reliable::{
     check_frame, encode_frame, ReliableRmi, RetryPolicy, RmiError, RmiStats, RELIABLE_TRAILER_WORDS,
 };
 pub use rmi::RmiService;
-pub use serialise::{crc32, Deserialise, Serialise, WORD_BYTES};
+pub use serialise::{Deserialise, Serialise, WORD_BYTES};

@@ -1,4 +1,4 @@
-//! Explicit memories: Xilinx block RAM and a multi-channel DDR controller.
+//! Explicit memories: Xilinx block RAM.
 //!
 //! On the Application Layer, shared-object data members behave like
 //! registers (zero access time). The VTA refinement step maps large
@@ -9,8 +9,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use osss_core::{sched::Fcfs, SharedObject};
-use osss_sim::{lock_unpoisoned, Context, Frequency, SimResult, SimTime, Simulation};
+use osss_sim::{lock_unpoisoned, Context, Frequency, SimResult, SimTime};
 
 /// Access statistics of a memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +53,7 @@ struct BramInner<T> {
 ///
 /// # fn main() -> Result<(), osss_sim::SimError> {
 /// let mut sim = Simulation::new();
-/// let ram = XilinxBlockRam::<i16>::new(&mut sim, "tile_ram", 1024, Frequency::mhz(100));
+/// let ram = XilinxBlockRam::<i16>::new("tile_ram", 1024, Frequency::mhz(100));
 /// let ram2 = ram.clone();
 /// sim.spawn_process("hw", move |ctx| {
 ///     ram2.write(ctx, 5, -42)?;
@@ -81,8 +80,7 @@ impl<T> Clone for XilinxBlockRam<T> {
 impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
     /// Creates a zero-initialised RAM of `words` entries with one-cycle
     /// read and write latency.
-    pub fn new(sim: &mut Simulation, name: &str, words: usize, freq: Frequency) -> Self {
-        let _ = sim; // signature symmetry with the other resources
+    pub fn new(name: &str, words: usize, freq: Frequency) -> Self {
         XilinxBlockRam {
             inner: Arc::new(BramInner {
                 name: name.to_string(),
@@ -168,76 +166,17 @@ impl<T: Copy + Default + Send + 'static> XilinxBlockRam<T> {
         stats.access_time += t;
         Ok(())
     }
-
-    /// Direct (zero-time) access to the backing store, for loading test
-    /// data and checking results outside the timed path.
-    pub fn with_data<R>(&self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut lock_unpoisoned(&self.inner.data))
-    }
-}
-
-/// A multi-channel DDR controller: each channel issues burst transfers;
-/// all channels arbitrate for the single DRAM device.
-///
-/// Models the case study's MCH DDR controller that feeds the PowerPC and
-/// the HW subsystem from one external RAM.
-#[derive(Debug, Clone)]
-pub struct DdrController {
-    device: SharedObject<()>,
-    freq: Frequency,
-    /// Cycles to open a row / set up a burst.
-    setup_cycles: u64,
-    /// Words per burst beat group.
-    burst_words: u64,
-    /// Cycles per burst.
-    burst_cycles: u64,
-}
-
-impl DdrController {
-    /// Creates a controller with case-study-like timing: 100 MHz, 10-cycle
-    /// setup, 8-word bursts at 4 cycles each.
-    pub fn new(sim: &mut Simulation, name: &str, freq: Frequency) -> Self {
-        DdrController {
-            device: SharedObject::new(sim, name, (), Fcfs::new()),
-            freq,
-            setup_cycles: 10,
-            burst_words: 8,
-            burst_cycles: 4,
-        }
-    }
-
-    /// The time a `words`-word transfer occupies the device.
-    pub fn transfer_time(&self, words: usize) -> SimTime {
-        let bursts = (words as u64).div_ceil(self.burst_words).max(1);
-        self.freq
-            .cycles(self.setup_cycles + bursts * self.burst_cycles)
-    }
-
-    /// Performs a channel transfer of `words` words (read or write — the
-    /// timing model is symmetric), arbitrating against other channels.
-    ///
-    /// # Errors
-    ///
-    /// [`osss_sim::SimError::Terminated`] on shutdown.
-    pub fn transfer(&self, ctx: &Context, words: usize) -> SimResult<()> {
-        let dur = self.transfer_time(words);
-        self.device.call(ctx, |_, ctx| ctx.wait(dur))
-    }
-
-    /// Total time the device was busy.
-    pub fn busy_time(&self) -> SimTime {
-        self.device.stats().total_busy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osss_sim::Simulation;
 
     #[test]
     fn bram_read_write_latency() {
         let mut sim = Simulation::new();
-        let ram = XilinxBlockRam::<i32>::new(&mut sim, "r", 16, Frequency::mhz(100));
+        let ram = XilinxBlockRam::<i32>::new("r", 16, Frequency::mhz(100));
         let ram2 = ram.clone();
         sim.spawn_process("p", move |ctx| {
             for i in 0..4 {
@@ -259,49 +198,11 @@ mod tests {
     #[test]
     fn burst_charging_equals_individual_accesses() {
         let mut sim = Simulation::new();
-        let ram = XilinxBlockRam::<i16>::new(&mut sim, "r", 1024, Frequency::mhz(100));
+        let ram = XilinxBlockRam::<i16>::new("r", 1024, Frequency::mhz(100));
         let ram2 = ram.clone();
         sim.spawn_process("p", move |ctx| ram2.charge_burst(ctx, 600, 400));
         assert_eq!(sim.run().expect("run").end_time, SimTime::ns(10_000));
         assert_eq!(ram.stats().reads, 600);
         assert_eq!(ram.stats().writes, 400);
-    }
-
-    #[test]
-    fn with_data_is_untimed() {
-        let mut sim = Simulation::new();
-        let ram = XilinxBlockRam::<i32>::new(&mut sim, "r", 8, Frequency::mhz(100));
-        ram.with_data(|d| d[3] = 7);
-        let ram2 = ram.clone();
-        sim.spawn_process("p", move |ctx| {
-            assert_eq!(ram2.read(ctx, 3)?, 7);
-            Ok(())
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn ddr_channels_contend_for_device() {
-        let mut sim = Simulation::new();
-        let ddr = DdrController::new(&mut sim, "ddr", Frequency::mhz(100));
-        let per = ddr.transfer_time(64); // 10 + 8*4 = 42 cycles
-        assert_eq!(per, SimTime::ns(420));
-        for i in 0..3 {
-            let ddr = ddr.clone();
-            sim.spawn_process(&format!("ch{i}"), move |ctx| ddr.transfer(ctx, 64));
-        }
-        assert_eq!(sim.run().expect("run").end_time, per * 3);
-        assert_eq!(ddr.busy_time(), per * 3);
-    }
-
-    #[test]
-    fn ddr_burst_rounding() {
-        let mut sim = Simulation::new();
-        let ddr = DdrController::new(&mut sim, "ddr", Frequency::mhz(100));
-        // 1 word still needs one burst: 14 cycles.
-        assert_eq!(ddr.transfer_time(1), SimTime::ns(140));
-        // 9 words -> 2 bursts: 18 cycles.
-        assert_eq!(ddr.transfer_time(9), SimTime::ns(180));
-        drop(sim);
     }
 }

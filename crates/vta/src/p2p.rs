@@ -39,7 +39,7 @@ impl P2pChannel {
 }
 
 impl Channel for P2pChannel {
-    fn transfer(&self, ctx: &Context, words: usize, _priority: u32) -> SimResult<()> {
+    fn transfer(&self, ctx: &Context, words: usize) -> SimResult<()> {
         let dur = self.transfer_time(words);
         self.words.fetch_add(words as u64, Ordering::Relaxed);
         self.so.call(ctx, |_, ctx| ctx.wait(dur))
@@ -79,7 +79,7 @@ mod tests {
         let mut sim = Simulation::new();
         for i in 0..3 {
             let link = P2pChannel::new(&mut sim, &format!("link{i}"), Frequency::mhz(100));
-            sim.spawn_process(&format!("m{i}"), move |ctx| link.transfer(ctx, 1000, 0));
+            sim.spawn_process(&format!("m{i}"), move |ctx| link.transfer(ctx, 1000));
         }
         // All three 1000-cycle transfers run in parallel.
         assert_eq!(sim.run().expect("run").end_time, SimTime::us(10));
@@ -91,7 +91,7 @@ mod tests {
         let link = P2pChannel::new(&mut sim, "link", Frequency::mhz(100));
         for i in 0..2 {
             let link = link.clone();
-            sim.spawn_process(&format!("m{i}"), move |ctx| link.transfer(ctx, 1000, 0));
+            sim.spawn_process(&format!("m{i}"), move |ctx| link.transfer(ctx, 1000));
         }
         assert_eq!(sim.run().expect("run").end_time, SimTime::us(20));
     }

@@ -31,7 +31,6 @@ struct Inner {
     freq: Frequency,
     busy: Mutex<bool>,
     released: Event,
-    timeslice: Option<SimTime>,
     stats: Mutex<CpuStats>,
 }
 
@@ -40,9 +39,7 @@ struct Inner {
 /// re-binds the task's EET blocks from free-running time to **exclusive
 /// processor time**, so co-mapped tasks serialise and a 4-way-parallel
 /// Application Model only speeds up if it is given four processors.
-///
-/// With a timeslice configured, long EET blocks are consumed in
-/// round-robin slices instead of non-preemptively.
+/// Each EET block holds the processor from start to end (no preemption).
 #[derive(Clone)]
 pub struct SoftwareProcessor {
     inner: Arc<Inner>,
@@ -66,27 +63,6 @@ impl SoftwareProcessor {
                 freq,
                 busy: Mutex::new(false),
                 released: sim.event(&format!("cpu:{name}.released")),
-                timeslice: None,
-                stats: Mutex::new(CpuStats::default()),
-            }),
-        }
-    }
-
-    /// Returns a copy of this processor that consumes EETs in round-robin
-    /// slices of `quantum` (preemptive scheduling model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_timeslice(&self, quantum: SimTime) -> Self {
-        assert!(!quantum.is_zero(), "timeslice must be non-zero");
-        SoftwareProcessor {
-            inner: Arc::new(Inner {
-                name: self.inner.name.clone(),
-                freq: self.inner.freq,
-                busy: Mutex::new(false),
-                released: self.inner.released.clone(),
-                timeslice: Some(quantum),
                 stats: Mutex::new(CpuStats::default()),
             }),
         }
@@ -95,11 +71,6 @@ impl SoftwareProcessor {
     /// The processor name.
     pub fn name(&self) -> &str {
         &self.inner.name
-    }
-
-    /// The clock frequency.
-    pub fn freq(&self) -> Frequency {
-        self.inner.freq
     }
 
     /// Utilisation statistics snapshot.
@@ -136,22 +107,13 @@ impl SoftwareProcessor {
 impl EetSink for SoftwareProcessor {
     fn consume(&self, ctx: &Context, t: SimTime) -> SimResult<()> {
         let start = ctx.now();
-        let mut remaining = t;
-        while !remaining.is_zero() {
+        // A zero-length block takes no CPU: it neither waits for the
+        // processor nor wakes anyone.
+        if !t.is_zero() {
             self.acquire(ctx)?;
-            let slice = match self.inner.timeslice {
-                Some(q) if q < remaining => q,
-                _ => remaining,
-            };
-            let r = ctx.wait(slice);
+            let r = ctx.wait(t);
             self.release(ctx);
             r?;
-            remaining = remaining.checked_sub(slice).unwrap_or(SimTime::ZERO);
-            if !remaining.is_zero() {
-                // Yield one delta so tasks woken by the release get to
-                // claim the CPU before we re-acquire (round-robin).
-                ctx.wait(SimTime::ZERO)?;
-            }
         }
         let elapsed = ctx.now() - start;
         let mut stats = lock_unpoisoned(&self.inner.stats);
@@ -211,30 +173,21 @@ mod tests {
     }
 
     #[test]
-    fn timeslicing_interleaves_long_blocks() {
-        let finish_order = Arc::new(Mutex::new(Vec::new()));
+    fn a_zero_length_eet_takes_no_cpu() {
         let mut sim = Simulation::new();
-        let base = SoftwareProcessor::new(&mut sim, "cpu0", Frequency::mhz(100));
-        let cpu = base.with_timeslice(SimTime::ms(1));
-        // A long task and a short task: with slicing, the short task
-        // finishes long before the long one, despite starting second.
-        let env_long = cpu.env("long");
-        let order1 = Arc::clone(&finish_order);
-        sim.spawn_process("long", move |ctx| {
-            env_long.eet(ctx, SimTime::ms(10), || ())?;
-            order1.lock().unwrap().push("long");
+        let cpu = SoftwareProcessor::new(&mut sim, "cpu0", Frequency::mhz(100));
+        let long = cpu.env("long");
+        sim.spawn_process("long", move |ctx| long.eet(ctx, SimTime::ms(5), || ()));
+        let zero = cpu.env("zero");
+        sim.spawn_process("zero", move |ctx| {
+            zero.eet(ctx, SimTime::ZERO, || ())?;
+            // It did not queue behind the busy processor.
+            assert_eq!(ctx.now(), SimTime::ZERO);
             Ok(())
         });
-        let env_short = cpu.env("short");
-        let order2 = Arc::clone(&finish_order);
-        sim.spawn_process("short", move |ctx| {
-            env_short.eet(ctx, SimTime::ms(2), || ())?;
-            order2.lock().unwrap().push("short");
-            Ok(())
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(*finish_order.lock().unwrap(), vec!["short", "long"]);
-        assert_eq!(report.end_time, SimTime::ms(12));
+        sim.run().expect("run").expect_all_finished().expect("done");
+        assert_eq!(cpu.stats().eet_blocks, 2);
+        assert_eq!(cpu.stats().contention, SimTime::ZERO);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use osss_core::{SharedObject, SoStats};
+use osss_sim::checksum::crc32;
 use osss_sim::{lock_unpoisoned, Context, Event, SimError, SimResult, SimTime};
 
-use crate::channel::{ChannelStats, TransferOutcome};
+use crate::channel::TransferOutcome;
 use crate::fault::mix;
 use crate::rmi::{RmiService, RMI_HEADER_WORDS};
-use crate::serialise::{crc32, Serialise, WORD_BYTES};
+use crate::serialise::{Serialise, WORD_BYTES};
 
 /// Words of reliability framing per message: payload length + CRC32.
 pub const RELIABLE_TRAILER_WORDS: usize = 2;
@@ -190,45 +190,6 @@ pub struct RmiStats {
     pub invoke_time: SimTime,
 }
 
-impl RmiStats {
-    /// Accumulates `other` into `self`, saturating at the numeric bounds.
-    pub fn merge(&mut self, other: &RmiStats) {
-        self.invokes = self.invokes.saturating_add(other.invokes);
-        self.completed = self.completed.saturating_add(other.completed);
-        self.recovered = self.recovered.saturating_add(other.recovered);
-        self.failed = self.failed.saturating_add(other.failed);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.timeouts = self.timeouts.saturating_add(other.timeouts);
-        self.crc_failures = self.crc_failures.saturating_add(other.crc_failures);
-        self.payload_words = self.payload_words.saturating_add(other.payload_words);
-        self.overhead_words = self.overhead_words.saturating_add(other.overhead_words);
-        self.backoff_time = self.backoff_time.saturating_add(other.backoff_time);
-        self.invoke_time = self.invoke_time.saturating_add(other.invoke_time);
-    }
-
-    /// Exports the snapshot into `reg` under `<prefix>.` (one counter
-    /// per field; the two time totals as `_ps` counters).
-    pub fn export_to(&self, reg: &osss_sim::probe::MetricsRegistry, prefix: &str) {
-        reg.add_counter(&format!("{prefix}.invokes"), self.invokes);
-        reg.add_counter(&format!("{prefix}.completed"), self.completed);
-        reg.add_counter(&format!("{prefix}.recovered"), self.recovered);
-        reg.add_counter(&format!("{prefix}.failed"), self.failed);
-        reg.add_counter(&format!("{prefix}.retries"), self.retries);
-        reg.add_counter(&format!("{prefix}.timeouts"), self.timeouts);
-        reg.add_counter(&format!("{prefix}.crc_failures"), self.crc_failures);
-        reg.add_counter(&format!("{prefix}.payload_words"), self.payload_words);
-        reg.add_counter(&format!("{prefix}.overhead_words"), self.overhead_words);
-        reg.add_counter(&format!("{prefix}.backoff_ps"), self.backoff_time.as_ps());
-        reg.add_counter(&format!("{prefix}.invoke_ps"), self.invoke_time.as_ps());
-    }
-}
-
-impl std::ops::AddAssign<RmiStats> for RmiStats {
-    fn add_assign(&mut self, rhs: RmiStats) {
-        self.merge(&rhs);
-    }
-}
-
 /// What the transport did to one frame, from the client's perspective.
 #[derive(Clone, Copy)]
 enum FrameFault {
@@ -277,7 +238,7 @@ struct ReliableShared {
 /// sim.spawn_process("client", move |ctx| {
 ///     for i in 0..10i64 {
 ///         let v = rmi
-///             .try_invoke(ctx, &i, &0i64, |state, _| {
+///             .try_invoke_guarded(ctx, &i, &0i64, |_| true, |state, _| {
 ///                 *state += i;
 ///                 Ok(*state)
 ///             })
@@ -329,47 +290,15 @@ impl<T: Send + 'static> ReliableRmi<T> {
         }
     }
 
-    /// The retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Snapshot of the protocol accounting.
     pub fn stats(&self) -> RmiStats {
         *lock_unpoisoned(&self.shared.stats)
     }
 
-    /// The underlying shared object's statistics.
-    pub fn object_stats(&self) -> SoStats {
-        self.rmi.object_stats()
-    }
-
-    /// The transport's statistics.
-    pub fn channel_stats(&self) -> ChannelStats {
-        self.rmi.channel_stats()
-    }
-
-    /// Like [`RmiService::invoke`], but CRC-framed and retried per the
-    /// policy. `f` executes exactly once even when transfers retry.
-    ///
-    /// # Errors
-    ///
-    /// A transport [`RmiError`] past the retry budget, or
-    /// [`RmiError::Sim`] when the kernel is shutting down.
-    pub fn try_invoke<A: Serialise + ?Sized, S: Serialise + ?Sized, R>(
-        &self,
-        ctx: &Context,
-        args: &A,
-        result_shape: &S,
-        f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
-    ) -> Result<R, RmiError> {
-        self.invoke_inner(ctx, args, result_shape, |so, ctx| so.call(ctx, f))
-    }
-
     /// Like [`RmiService::invoke_guarded`], but CRC-framed and retried
     /// per the policy. `f` executes exactly once even when transfers
     /// retry; the deadline covers transport only, never the object-side
-    /// guard wait.
+    /// guard wait. An always-true guard makes it a plain reliable call.
     ///
     /// # Errors
     ///
@@ -382,18 +311,6 @@ impl<T: Send + 'static> ReliableRmi<T> {
         result_shape: &S,
         guard: impl Fn(&T) -> bool,
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
-    ) -> Result<R, RmiError> {
-        self.invoke_inner(ctx, args, result_shape, |so, ctx| {
-            so.call_guarded(ctx, guard, f)
-        })
-    }
-
-    fn invoke_inner<A: Serialise + ?Sized, S: Serialise + ?Sized, R>(
-        &self,
-        ctx: &Context,
-        args: &A,
-        result_shape: &S,
-        call: impl FnOnce(&SharedObject<T>, &Context) -> SimResult<R>,
     ) -> Result<R, RmiError> {
         let t0 = ctx.now();
         let invoke_n = {
@@ -413,7 +330,11 @@ impl<T: Send + 'static> ReliableRmi<T> {
         }
 
         // The clean request crossed: the method body runs exactly once.
-        let out = call(self.rmi.so(), ctx).map_err(RmiError::Sim)?;
+        let out = self
+            .rmi
+            .so()
+            .call_guarded(ctx, guard, f)
+            .map_err(RmiError::Sim)?;
 
         // The server caches the reply; a failed response only re-pays
         // the transfer (and the client's deadline), never re-runs `f`.
@@ -452,7 +373,7 @@ impl<T: Send + 'static> ReliableRmi<T> {
         words: usize,
         is_request: bool,
     ) -> Result<Option<FrameFault>, RmiError> {
-        let outcome = self.rmi.channel().transfer_outcome(ctx, words, 0)?;
+        let outcome = self.rmi.channel().transfer_outcome(ctx, words)?;
         match outcome {
             TransferOutcome::Clean => {
                 debug_assert!(check_frame(frame).is_ok());
@@ -564,7 +485,7 @@ mod tests {
     use crate::channel::Channel;
     use crate::fault::{FaultConfig, FaultyChannel};
     use crate::p2p::P2pChannel;
-    use osss_core::sched::Fcfs;
+    use osss_core::{sched::Fcfs, SharedObject};
     use osss_sim::{Frequency, Simulation};
 
     #[test]
@@ -614,10 +535,16 @@ mod tests {
         sim.spawn_process("client", move |ctx| {
             let mut acc = Ok(0i64);
             for i in 0..calls {
-                match rmi.try_invoke(ctx, &i, &0i64, |state, _| {
-                    *state += i;
-                    Ok(*state)
-                }) {
+                match rmi.try_invoke_guarded(
+                    ctx,
+                    &i,
+                    &0i64,
+                    |_| true,
+                    |state, _| {
+                        *state += i;
+                        Ok(*state)
+                    },
+                ) {
                     Ok(v) => acc = Ok(v),
                     Err(RmiError::Sim(e)) => return Err(e),
                     Err(e) => {
@@ -711,10 +638,16 @@ mod tests {
         let rmi = ReliableRmi::new(RmiService::new(so.clone(), faulty), policy);
         sim.spawn_process("client", move |ctx| {
             for _ in 0..8 {
-                rmi.try_invoke(ctx, &1u32, &(), |calls, _| {
-                    *calls += 1;
-                    Ok(())
-                })
+                rmi.try_invoke_guarded(
+                    ctx,
+                    &1u32,
+                    &(),
+                    |_| true,
+                    |calls, _| {
+                        *calls += 1;
+                        Ok(())
+                    },
+                )
                 .expect("within budget");
             }
             Ok(())

@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use osss_core::{SharedObject, SoStats};
+use osss_core::SharedObject;
 use osss_sim::{Context, SimResult};
 
-use crate::channel::{Channel, ChannelStats};
+use crate::channel::Channel;
 use crate::serialise::Serialise;
 
 /// Words of protocol framing per RMI message (method id + length).
@@ -87,16 +87,6 @@ impl<T: Send + 'static> RmiService<T> {
         &self.channel
     }
 
-    /// The underlying shared object's statistics.
-    pub fn object_stats(&self) -> SoStats {
-        self.so.stats()
-    }
-
-    /// The transport's statistics.
-    pub fn channel_stats(&self) -> ChannelStats {
-        self.channel.stats()
-    }
-
     /// A blocking remote method call: transfers `args` to the object,
     /// executes `f` under the object's arbitration, transfers a result
     /// the size of `result_shape` back, and returns `f`'s value.
@@ -115,10 +105,10 @@ impl<T: Send + 'static> RmiService<T> {
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
         let req_words = RMI_HEADER_WORDS + args.serialised_words();
-        self.channel.transfer(ctx, req_words, 0)?;
+        self.channel.transfer(ctx, req_words)?;
         let out = self.so.call(ctx, f)?;
         let resp_words = RMI_HEADER_WORDS + result_shape.serialised_words();
-        self.channel.transfer(ctx, resp_words, 0)?;
+        self.channel.transfer(ctx, resp_words)?;
         Ok(out)
     }
 
@@ -138,10 +128,10 @@ impl<T: Send + 'static> RmiService<T> {
         f: impl FnOnce(&mut T, &Context) -> SimResult<R>,
     ) -> SimResult<R> {
         let req_words = RMI_HEADER_WORDS + args.serialised_words();
-        self.channel.transfer(ctx, req_words, 0)?;
+        self.channel.transfer(ctx, req_words)?;
         let out = self.so.call_guarded(ctx, guard, f)?;
         let resp_words = RMI_HEADER_WORDS + result_shape.serialised_words();
-        self.channel.transfer(ctx, resp_words, 0)?;
+        self.channel.transfer(ctx, resp_words)?;
         Ok(out)
     }
 }

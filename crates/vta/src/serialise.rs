@@ -150,12 +150,6 @@ impl<T: Serialise, const N: usize> Serialise for [T; N] {
     }
 }
 
-/// CRC-32 (IEEE 802.3) over `data` — the reliable-RMI frame trailer
-/// checksum. Hoisted to [`osss_sim::checksum`] so the native network
-/// decode protocol shares the exact implementation; re-exported here
-/// so existing `serialise::crc32` users are unaffected.
-pub use osss_sim::checksum::crc32;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,24 +212,5 @@ mod tests {
         let a: [u32; 4] = [1, 2, 3, 4];
         assert_eq!(a.serialised_bytes(), 16);
         assert_eq!(a.serialised_words(), 4);
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_detects_any_single_bit_flip() {
-        let data: Vec<u8> = (0u32..64).map(|i| (i * 37 % 251) as u8).collect();
-        let good = crc32(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
-                let mut bad = data.clone();
-                bad[byte] ^= 1 << bit;
-                assert_ne!(crc32(&bad), good, "flip at {byte}.{bit} undetected");
-            }
-        }
     }
 }

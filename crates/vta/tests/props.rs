@@ -116,7 +116,7 @@ proptest! {
         let expected: SimTime = transfers.iter().map(|&w| bus.transfer_time(w)).sum();
         for (i, &w) in transfers.iter().enumerate() {
             let bus = Arc::clone(&bus);
-            sim.spawn_process(&format!("m{i}"), move |ctx| bus.transfer(ctx, w, 0));
+            sim.spawn_process(&format!("m{i}"), move |ctx| bus.transfer(ctx, w));
         }
         let report = sim.run().unwrap();
         prop_assert_eq!(bus.stats().busy, expected);
@@ -144,7 +144,7 @@ proptest! {
             };
             for (i, &w) in transfers.iter().enumerate() {
                 let ch = Arc::clone(&ch);
-                sim.spawn_process(&format!("m{i}"), move |ctx| ch.transfer(ctx, w, 0));
+                sim.spawn_process(&format!("m{i}"), move |ctx| ch.transfer(ctx, w));
             }
             let report = sim.run().unwrap();
             (report.end_time, bus.stats())
@@ -179,7 +179,7 @@ proptest! {
         sim.spawn_process("client", move |ctx| {
             for len in payloads {
                 let args: Vec<u32> = vec![7; len];
-                rmi.try_invoke(ctx, &args, &0u64, |state, _| {
+                rmi.try_invoke_guarded(ctx, &args, &0u64, |_| true, |state, _| {
                     *state += 1;
                     Ok(*state)
                 })

@@ -227,28 +227,59 @@ fn exploration_axes_are_pinned_to_the_picosecond() {
 #[test]
 fn fault_sweep_is_pinned_to_the_picosecond() {
     use ModeSel::{Lossless, Lossy};
-    // (decode ps, tiles recovered, tiles degraded, retries, bit-exact)
-    // per point of fault_axis(42).
-    type Point = (u64, usize, usize, u64, bool);
+    // ((decode ps, tiles recovered, tiles degraded, retries, bit-exact),
+    //  [dropped, corrupt transfers, corrupt words, timeouts, CRC failures,
+    //   overhead words, transport words]) per point of fault_axis(42).
+    type Point = ((u64, usize, usize, u64, bool), [u64; 7]);
     const PINNED: [(ModeSel, [Point; 5]); 2] = [
         (
             Lossless,
             [
-                (2992614438623, 0, 0, 0, true),
-                (2992614438623, 0, 0, 0, true),
-                (2992614438623, 0, 0, 0, true),
-                (3076560058806, 12, 0, 25, true),
-                (2993646299341, 2, 13, 16, false),
+                (
+                    (2992614438623, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (2992614438623, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (2992614438623, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (3076560058806, 12, 0, 25, true),
+                    [13, 12, 13, 19, 6, 622825, 1676923],
+                ),
+                (
+                    (2993646299341, 2, 13, 16, false),
+                    [15, 14, 24, 27, 2, 917657, 1181568],
+                ),
             ],
         ),
         (
             Lossy,
             [
-                (3087443843431, 0, 0, 0, true),
-                (3087443843431, 0, 0, 0, true),
-                (3087443843431, 0, 0, 0, true),
-                (3171389463614, 12, 0, 25, true),
-                (3011453319151, 2, 13, 16, false),
+                (
+                    (3087443843431, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (3087443843431, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (3087443843431, 0, 0, 0, true),
+                    [0, 0, 0, 0, 0, 128, 1054226],
+                ),
+                (
+                    (3171389463614, 12, 0, 25, true),
+                    [13, 12, 13, 19, 6, 622825, 1676923],
+                ),
+                (
+                    (3011453319151, 2, 13, 16, false),
+                    [15, 14, 24, 27, 2, 917657, 1181568],
+                ),
             ],
         ),
     ];
@@ -258,11 +289,22 @@ fn fault_sweep_is_pinned_to_the_picosecond() {
             .iter()
             .map(|r| {
                 (
-                    r.decode_time.as_ps(),
-                    r.tiles_recovered,
-                    r.tiles_degraded,
-                    r.rmi_stats.retries,
-                    r.bit_exact,
+                    (
+                        r.decode_time.as_ps(),
+                        r.tiles_recovered,
+                        r.tiles_degraded,
+                        r.rmi_stats.retries,
+                        r.bit_exact,
+                    ),
+                    [
+                        r.fault_stats.dropped,
+                        r.fault_stats.corrupt_transfers,
+                        r.fault_stats.corrupt_words,
+                        r.rmi_stats.timeouts,
+                        r.rmi_stats.crc_failures,
+                        r.rmi_stats.overhead_words,
+                        r.transport.words,
+                    ],
                 )
             })
             .collect();
