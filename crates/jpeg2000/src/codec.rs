@@ -392,7 +392,8 @@ pub struct TileSamples {
 /// Which decode a tile or a stream gets: strict, tolerant, or one of
 /// the two partial decodes. [`StagedDecoder::decode_tile`] takes it to
 /// select its behaviour; the decode service also keys its image cache
-/// and single-flight groups on it, so every kind caches independently.
+/// and single-flight groups on it, so every kind caches independently,
+/// except that a stream's strict image also answers tolerant requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Full strict decode ([`decode`]).
@@ -1093,8 +1094,17 @@ pub struct DecodeReport {
 }
 
 impl DecodeReport {
-    /// `true` when the stream decoded without any isolated failure —
-    /// the image is identical to what strict [`decode`] would produce.
+    /// `true` when the stream decoded without any isolated failure.
+    ///
+    /// Its relation to strict [`decode`] is one-way. A stream that
+    /// strict decoding accepts decodes tolerantly to the same image
+    /// with a clean report (the fuzz harness asserts this on every
+    /// input, and the decode service answers tolerant requests from a
+    /// strict image on it). A clean report does not imply that strict
+    /// decoding succeeds: strict parsing rejects tile-parts out of tile
+    /// order ("tile segments out of order"), while the tolerant parser
+    /// places each by its index and records nothing, so such a stream
+    /// decodes tolerantly to a clean report and fails strictly.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -1643,9 +1653,20 @@ mod tests {
     fn timings_are_populated() {
         let img = Image::synthetic_rgb(64, 64, 9);
         let bytes = encode(&img, &EncodeParams::new(Mode::Lossless)).unwrap();
-        let out = decode(&bytes).unwrap();
-        assert!(out.timings.total() > Duration::ZERO);
-        let shares = out.timings.shares();
+        // Each stage's minimum over a few decodes (best-of-N), so a host
+        // stall inside one short stage cannot flip the shares.
+        let runs = (0..5).map(|_| decode(&bytes).unwrap().timings);
+        let best = runs
+            .reduce(|a, b| DecodeTimings {
+                entropy: a.entropy.min(b.entropy),
+                iq: a.iq.min(b.iq),
+                idwt: a.idwt.min(b.idwt),
+                mct: a.mct.min(b.mct),
+                dc_shift: a.dc_shift.min(b.dc_shift),
+            })
+            .unwrap();
+        assert!(best.total() > Duration::ZERO);
+        let shares = best.shares();
         let sum: f64 = shares.iter().sum();
         assert!((sum - 100.0).abs() < 1e-6, "shares sum to 100%: {sum}");
         // Entropy decoding dominates, as in the paper's Figure 1.

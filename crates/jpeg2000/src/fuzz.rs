@@ -373,12 +373,15 @@ pub fn seed_streams() -> Vec<(&'static str, Vec<u8>)> {
 
 /// Runs every public decode entry point on `bytes`, discarding results:
 /// structured errors are expected, panics are bugs (callers wrap this
-/// in `catch_unwind` and a wall-clock watchdog). Also asserts the
-/// tolerant-decode geometry invariant: whenever the main header parses,
+/// in `catch_unwind` and a wall-clock watchdog). Also asserts two
+/// tolerant-decode invariants: whenever the main header parses,
 /// [`decode_tolerant`] must return an image of exactly the SIZ
-/// dimensions.
+/// dimensions; and whenever strict [`decode`] succeeds,
+/// [`decode_tolerant`] must return the same image with a clean report —
+/// the equivalence on which the decode service answers tolerant
+/// requests from a cached strict image.
 pub fn exercise_decode_surface(bytes: &[u8]) {
-    let _ = decode(bytes);
+    let strict = decode(bytes);
     for layers in [0usize, 1, 2, usize::MAX] {
         let _ = decode_quality(bytes, layers);
     }
@@ -389,7 +392,8 @@ pub fn exercise_decode_surface(bytes: &[u8]) {
         let _ = decode_parallel(bytes, workers);
     }
     let header = parse_codestream_tolerant(bytes).map(|p| p.header);
-    match (decode_tolerant(bytes), header) {
+    let tolerant = decode_tolerant(bytes);
+    match (&tolerant, header) {
         (Ok((image, _report)), Ok(h)) => {
             assert_eq!(
                 (image.width, image.height),
@@ -399,6 +403,11 @@ pub fn exercise_decode_surface(bytes: &[u8]) {
         }
         (Ok(_), Err(_)) => panic!("decode_tolerant succeeded where the header parser failed"),
         (Err(_), _) => {}
+    }
+    if let Ok(strict) = strict {
+        let (image, report) = tolerant.expect("decode_tolerant fails where decode succeeds");
+        assert!(image == strict.image, "decode_tolerant's image differs");
+        assert!(report.is_clean(), "decode_tolerant reports {report:?}");
     }
     let _ = decode_tolerant_parallel(bytes, 4);
 }

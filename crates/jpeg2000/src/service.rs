@@ -23,7 +23,9 @@
 //!   negligible probability: parsed headers (a [`StagedDecoder`]
 //!   reused across repeat decodes of the same stream) and full decoded
 //!   images, each with its own byte budget and least-recently-used
-//!   eviction.
+//!   eviction. Images are keyed by `(stream, kind)`, except that a
+//!   stream's strict image also answers its tolerant requests: once
+//!   strict decoding has succeeded, the two kinds share one entry.
 //! * **Inline hits** — an image-cache hit is served inside `submit`,
 //!   on the caller's thread, before any job exists: no queue slot, no
 //!   worker hand-off, never [`ServiceError::QueueFull`]. A miss takes
@@ -503,9 +505,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
         self.tick += 1;
         let mut evicted = 0;
-        if let Some(old) = self.map.remove(&key) {
-            self.used -= old.size;
-        }
+        self.remove(&key);
         while self.used + size > self.budget {
             let oldest = self.map.iter().min_by_key(|(_, e)| e.last_used);
             let (victim, _) = oldest.expect("`size` fits the budget, so the map is not empty");
@@ -523,6 +523,13 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             },
         );
         evicted
+    }
+
+    /// Drops `key`'s entry, if any.
+    fn remove(&mut self, key: &K) {
+        if let Some(old) = self.map.remove(key) {
+            self.used -= old.size;
+        }
     }
 }
 
@@ -807,7 +814,9 @@ struct ServiceCore {
     /// awaiting that job's result.
     flights: HashMap<FlightKey, Vec<Waiter>>,
     headers: LruCache<(StreamKey, bool), CachedHeader>,
-    /// Decoded images, each held as the response a hit returns.
+    /// Decoded images, each held as the response a hit returns. A
+    /// stream's strict entry also answers its tolerant requests
+    /// ([`Self::cached_image`]), so no stream has both.
     images: LruCache<FlightKey, ServiceResponse>,
     /// Set once shutdown begins: no flight is queued after it.
     shutting_down: bool,
@@ -867,9 +876,9 @@ impl ServiceCore {
             k => k,
         };
         let fkey = (job.key, kind);
-        let m = &self.meters;
         if !self.shutting_down && waiter.deadline.is_none_or(|d| now < d) {
-            if let Some(hit) = self.images.get(&fkey) {
+            if let Some(hit) = self.cached_image(fkey) {
+                let m = &self.meters;
                 m.submitted.inc();
                 m.image_hits.inc();
                 m.completed.inc();
@@ -877,6 +886,7 @@ impl ServiceCore {
                 return Ok(Admit::Hit(hit));
             }
         }
+        let m = &self.meters;
         if let Some(group) = self.flights.get_mut(&fkey) {
             group.push(Waiter {
                 coalesced: true,
@@ -945,15 +955,34 @@ impl ServiceCore {
         false
     }
 
+    /// The image-cache entry that answers `(stream, kind)`: its own, or
+    /// for a tolerant request the stream's strict one, answered with a
+    /// clean report. A stream that decodes strictly decodes tolerantly
+    /// to the same image with a clean report (the fuzz harness checks
+    /// this on every input); the converse does not hold (see
+    /// [`DecodeReport::is_clean`]), so a tolerant entry never answers a
+    /// strict request.
+    fn cached_image(&mut self, (stream, kind): FlightKey) -> Option<ServiceResponse> {
+        let own = self.images.get(&(stream, kind));
+        if own.is_some() || kind != RequestKind::Tolerant {
+            return own;
+        }
+        let strict = self.images.get(&(stream, RequestKind::Strict))?;
+        Some(ServiceResponse {
+            report: Some(DecodeReport::default()),
+            ..strict
+        })
+    }
+
     /// The worker's first cache step, after its claim-time sweep: the
-    /// parsed header, if cached, or `Err` with the decoded image under
-    /// the submit-time key — the flight's one image-cache hit.
+    /// parsed header, if cached, or `Err` with the decoded image that
+    /// answers the submit-time key — the flight's one image-cache hit.
     fn lookup(&mut self, job: &Job) -> Result<Option<CachedHeader>, ServiceResponse> {
-        let m = &self.meters;
-        if let Some(hit) = self.images.get(&job.flight_key()) {
-            m.image_hits.inc();
+        if let Some(hit) = self.cached_image(job.flight_key()) {
+            self.meters.image_hits.inc();
             return Err(hit);
         }
+        let m = &self.meters;
         let header = self.headers.get(&job.header_key());
         match header {
             Some(_) => m.header_hits.inc(),
@@ -997,8 +1026,19 @@ impl ServiceCore {
         self.meters.image_misses.inc();
     }
 
-    /// Stores a decoded image under its canonical key.
+    /// Stores a decoded image under its canonical key. A strict image
+    /// replaces its stream's tolerant one, and a tolerant image is not
+    /// stored while the strict one is cached (it can land while the
+    /// tolerant decode runs): [`Self::cached_image`] answers tolerant
+    /// requests from it.
     fn insert_image(&mut self, key: FlightKey, decoded: &ServiceResponse) {
+        let (stream, kind) = key;
+        let strict = (stream, RequestKind::Strict);
+        match kind {
+            RequestKind::Strict => self.images.remove(&(stream, RequestKind::Tolerant)),
+            RequestKind::Tolerant if self.images.map.contains_key(&strict) => return,
+            _ => {}
+        }
         let hit = ServiceResponse {
             served_from: ServedFrom::ImageCache,
             ..decoded.clone()
@@ -1537,6 +1577,185 @@ mod tests {
         assert_eq!(cached.served_from, ServedFrom::ImageCache);
         assert_eq!(cached.report, cold.report);
         assert_eq!(cached.image, cold.image);
+    }
+
+    /// `bytes`' tile-parts, as (offset, length) of each `SOT` segment.
+    fn tile_parts(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let segs = crate::fuzz::scan_markers(bytes).into_iter();
+        let sots = segs.filter(|s| s.marker == crate::codestream::MARKER_SOT);
+        sots.map(|s| (s.offset, s.len)).collect()
+    }
+
+    #[test]
+    fn a_strict_image_answers_tolerant_requests() {
+        let bytes = stream(4);
+        let svc = service(small_cfg());
+        let strict = svc.decode(&bytes[..], Request::strict()).unwrap();
+        let tol = svc.decode(&bytes[..], Request::tolerant()).unwrap();
+        assert_eq!(tol.served_from, ServedFrom::ImageCache);
+        assert!(
+            Arc::ptr_eq(&tol.image, &strict.image),
+            "one entry, one image"
+        );
+        assert_eq!(tol.report, Some(DecodeReport::default()));
+        let (image, report) = decode_tolerant(&bytes).unwrap();
+        assert_eq!(*tol.image, image);
+        assert_eq!(tol.report, Some(report));
+        assert_eq!(svc.cache_entries().1, 1);
+        let stats = svc.shutdown();
+        assert_eq!((stats.image_hits, stats.image_misses), (1, 1));
+        assert!(stats.reconciles());
+    }
+
+    #[test]
+    fn a_strict_image_replaces_the_tolerant_one() {
+        let bytes = stream(5);
+        let svc = service(small_cfg());
+        let tol = svc.decode(&bytes[..], Request::tolerant()).unwrap();
+        assert_eq!(tol.served_from, ServedFrom::Cold);
+        // A tolerant entry never answers a strict request.
+        let strict = svc.decode(&bytes[..], Request::strict()).unwrap();
+        assert_eq!(strict.served_from, ServedFrom::Cold);
+        assert_eq!(*strict.image, decode(&bytes).unwrap().image);
+        assert_eq!(svc.cache_entries().1, 1, "one entry for the stream");
+        let used = lock_unpoisoned(&svc.shared.core).images.used;
+        assert_eq!(used, image_bytes(&strict.image), "its bytes counted once");
+        let again = svc.decode(&bytes[..], Request::tolerant()).unwrap();
+        assert_eq!(again.served_from, ServedFrom::ImageCache);
+        assert!(Arc::ptr_eq(&again.image, &strict.image));
+        assert_eq!(again.report, tol.report);
+        let stats = svc.shutdown();
+        assert_eq!((stats.image_hits, stats.image_misses), (1, 2));
+        assert_eq!(stats.image_evictions, 0, "a replaced entry is not evicted");
+    }
+
+    /// A tolerant request queued behind a strict decode of its stream
+    /// forms its own flight; the worker's lookup then finds the strict
+    /// image.
+    #[test]
+    fn a_queued_tolerant_request_finds_the_strict_image() {
+        let bytes = stream(6);
+        let svc = service(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let gate = Arc::new(Gate::default());
+        let _guard = AutoOpen(Arc::clone(&gate));
+        let strict = submit_hooked(
+            &svc,
+            &bytes,
+            Request::strict(),
+            None,
+            Some(Arc::clone(&gate)),
+        )
+        .unwrap();
+        gate.await_arrival();
+        let tol = svc.submit(&bytes[..], Request::tolerant()).unwrap();
+        gate.open();
+        let strict = strict.wait().unwrap();
+        let tol = tol.wait().unwrap();
+        assert_eq!(tol.served_from, ServedFrom::ImageCache);
+        assert!(Arc::ptr_eq(&tol.image, &strict.image));
+        assert_eq!(tol.report, Some(DecodeReport::default()));
+        let stats = svc.shutdown();
+        assert_eq!((stats.submitted, stats.coalesced), (2, 0));
+        assert_eq!((stats.image_hits, stats.image_misses), (1, 1));
+    }
+
+    /// A tolerant image that lands while its stream's strict one is
+    /// cached is dropped, and the strict entry keeps answering.
+    #[test]
+    fn a_tolerant_image_is_not_stored_beside_the_strict_one() {
+        let fx = Fixture::new();
+        let mut core = ServiceCore::new(&ServiceConfig::default(), Meters::default());
+        let stream = StreamKey {
+            len: fx.stream.len(),
+            h1: 0,
+            h2: 0,
+        };
+        let decoded = |image: Image, report| ServiceResponse {
+            image: Arc::new(image),
+            report,
+            served_from: ServedFrom::Cold,
+            queue_wait: Duration::ZERO,
+            service_time: Duration::ZERO,
+        };
+        let strict = decoded((*fx.image).clone(), None);
+        let tolerant = decoded((*fx.image).clone(), Some(DecodeReport::default()));
+        core.insert_image((stream, RequestKind::Strict), &strict);
+        core.insert_image((stream, RequestKind::Tolerant), &tolerant);
+        assert_eq!(core.images.map.len(), 1);
+        assert_eq!(core.images.used, image_bytes(&fx.image));
+        let hit = core.cached_image((stream, RequestKind::Tolerant)).unwrap();
+        assert!(Arc::ptr_eq(&hit.image, &strict.image));
+        assert_eq!(hit.served_from, ServedFrom::ImageCache);
+        assert_eq!(hit.report, Some(DecodeReport::default()));
+    }
+
+    #[test]
+    fn a_damaged_tolerant_image_never_answers_a_strict_request() {
+        let mut bytes = stream(7);
+        // An all-0xFF tile body: the tile's packets cannot be parsed.
+        let (at, len) = tile_parts(&bytes)[1];
+        bytes[at + 14..at + len].fill(0xFF);
+        let (image, report) = decode_tolerant(&bytes).unwrap();
+        assert!(!report.is_clean());
+        let strict_err = decode(&bytes).unwrap_err();
+        let svc = service(small_cfg());
+        let tol = svc.decode(&bytes[..], Request::tolerant()).unwrap();
+        assert_eq!(*tol.image, image);
+        assert_eq!(tol.report.as_ref(), Some(&report));
+        let strict = svc.decode(&bytes[..], Request::strict()).unwrap_err();
+        assert_eq!(strict, ServiceError::Decode(strict_err));
+        let again = svc.decode(&bytes[..], Request::tolerant()).unwrap();
+        assert_eq!(again.served_from, ServedFrom::ImageCache);
+        assert_eq!(again.report, Some(report));
+        let stats = svc.shutdown();
+        assert_eq!((stats.image_hits, stats.failed), (1, 1));
+        assert!(stats.reconciles());
+    }
+
+    /// Why the sharing is one-way: with its first two tile-parts
+    /// swapped, a clean stream fails strict parsing ("tile segments out
+    /// of order"), while the tolerant parser places each tile-part by
+    /// its index and reports nothing. The cached tolerant image must not
+    /// answer a strict request.
+    #[test]
+    fn a_clean_tolerant_image_never_answers_a_strict_request() {
+        let source = Image::synthetic_rgb(64, 64, 8);
+        let bytes = encode(
+            &source,
+            &EncodeParams::new(Mode::Lossless).tile_size(32, 32),
+        )
+        .unwrap();
+        let parts = tile_parts(&bytes);
+        let [(a, a_len), (b, b_len)] = [parts[0], parts[1]];
+        let swapped = [
+            &bytes[..a],
+            &bytes[b..b + b_len],
+            &bytes[a..a + a_len],
+            &bytes[b + b_len..],
+        ]
+        .concat();
+        let strict_err = decode(&swapped).unwrap_err();
+        assert!(
+            strict_err.to_string().contains("out of order"),
+            "{strict_err}"
+        );
+        let (image, report) = decode_tolerant(&swapped).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(image, source);
+        let svc = service(small_cfg());
+        let tol = svc.decode(&swapped[..], Request::tolerant()).unwrap();
+        assert_eq!(tol.served_from, ServedFrom::Cold);
+        assert_eq!(*tol.image, source);
+        assert_eq!(tol.report, Some(report));
+        assert_eq!(svc.cache_entries().1, 1, "the tolerant image is cached");
+        let strict = svc.decode(&swapped[..], Request::strict()).unwrap_err();
+        assert_eq!(strict, ServiceError::Decode(strict_err));
+        let stats = svc.shutdown();
+        assert_eq!((stats.image_hits, stats.failed), (0, 1));
+        assert!(stats.reconciles());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! submission is ever silently dropped** — every attempt resolves to a
 //! response, `QueueFull`, `DeadlineExceeded`, `Cancelled` or a decode
 //! error, and after a drain the stats reconcile exactly with the
-//! submissions. Completed strict responses must also stay bit-exact
-//! against the one-shot decoder.
+//! submissions. Completed strict and tolerant responses must also stay
+//! bit-exact against the one-shot decoder, and a tolerant one must
+//! carry a clean report (every stream here is clean), whether it was
+//! decoded as tolerant or answered from the stream's strict image.
 //!
 //! Knobs (environment, same pattern as `FUZZ_ITERS`):
 //! * `SERVICE_STRESS_ITERS` — requests per client thread (default 40).
@@ -22,7 +24,9 @@ use std::time::Duration;
 
 use osss_jpeg2000::jpeg2000::codec::{decode, encode, EncodeParams, Mode};
 use osss_jpeg2000::jpeg2000::image::Image;
-use osss_jpeg2000::{DecodeService, MetricsRegistry, Request, ServiceConfig, ServiceError};
+use osss_jpeg2000::{
+    DecodeService, MetricsRegistry, Request, RequestKind, ServiceConfig, ServiceError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,11 +121,18 @@ fn stress_no_request_is_silently_dropped() {
                     }
                     // Every accepted submission must resolve.
                     match ticket.wait() {
-                        Ok(resp) => {
-                            if request.kind == osss_jpeg2000::RequestKind::Strict {
+                        Ok(resp) => match request.kind {
+                            RequestKind::Strict => {
                                 assert_eq!(&*resp.image, reference, "strict response bit-drift");
                             }
-                        }
+                            RequestKind::Tolerant => {
+                                assert_eq!(&*resp.image, reference, "tolerant response bit-drift");
+                                let report =
+                                    resp.report.expect("tolerant responses carry a report");
+                                assert!(report.is_clean(), "{:?}: {report:?}", resp.served_from);
+                            }
+                            _ => {}
+                        },
                         Err(ServiceError::DeadlineExceeded | ServiceError::Cancelled) => {}
                         Err(e) => panic!("unexpected outcome: {e}"),
                     }
